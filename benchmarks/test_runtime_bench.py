@@ -1,9 +1,10 @@
 """Warm-runtime bench: N sequential sweeps with leased pools vs cold pools.
 
 The regime the runtime was built for is the BO inner loop: many small
-sweeps back to back, each of which used to fork a worker pool, ship the
-model and dataset through the pool initializer and tear everything down
-at ``backend.close()``.  With the warm runtime the fork/ship/teardown
+sweeps back to back.  Cold (the process-wide runtime opted out), each
+sweep's task pool leases from a private runtime: it forks a worker pool,
+publishes the model and dataset, and tears everything down at
+``backend.close()``.  With the warm runtime the fork/ship/teardown
 happens once and every later sweep re-leases the pool and re-uses the
 digest-keyed context segment, so per-sweep cost collapses to task
 submission plus a digest compare.

@@ -318,9 +318,6 @@ class BayesFTSearch:
             "include_alpha_dropout": getattr(
                 self.search_space, "include_alpha_dropout", True),
             "early_stop_margin": self.early_stop_margin,
-            # Plain flag, not a tracer: workers build their own session and
-            # ship span/counter snapshots back with each trial result.
-            "trace": current().enabled,
         }
         pool = SearchTrialPool(_execute_search_trial, context,
                                workers=self.search_workers,

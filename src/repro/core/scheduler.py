@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..telemetry import Telemetry, current, using
+from ..telemetry import current
 from ..training.trainer import Trainer
 from .search_space import DropoutSearchSpace
 
@@ -64,23 +64,12 @@ def _execute_search_trial(context: dict, payload: dict) -> dict:
     Module-level so the pool ships it by reference; self-contained so the
     result is a pure function of the context plus this payload.  The three
     spawned sub-streams (module reseed / SGD shuffling / objective) make the
-    trial reproducible bit-for-bit wherever it runs.
-
-    When the parent session is tracing (``context["trace"]``), the trial
-    captures its own span tree — train / evaluate, with the objective's
-    whole sweep hierarchy nested below — and ships the snapshot back inside
-    the result dict; the scheduler grafts it under the batch's span.  The
-    flag carries no entropy and the snapshot rides outside every canonical
-    field, so traced and untraced trials commit identical observations.
+    trial reproducible bit-for-bit wherever it runs.  Its span tree — train
+    / evaluate, with the objective's whole sweep hierarchy nested below —
+    lands in the ambient session, which a pool worker ships back.
     """
-    if not context.get("trace"):
+    with current().span("search_trial", index=payload["index"]):
         return _search_trial_body(context, payload)
-    telemetry = Telemetry()
-    with using(telemetry):
-        with telemetry.span("search_trial", index=payload["index"]):
-            result = _search_trial_body(context, payload)
-    result["telemetry"] = telemetry.snapshot()
-    return result
 
 
 def _search_trial_body(context: dict, payload: dict) -> dict:
@@ -169,8 +158,7 @@ class AsyncTrialScheduler:
         completed = 0
         while completed < n_trials:
             q = min(self.suggest_batch, n_trials - completed)
-            with telemetry.span("bo_batch", batch=self.batches_run,
-                                q=q) as batch_span:
+            with telemetry.span("bo_batch", batch=self.batches_run, q=q):
                 with telemetry.span("suggest_batch", q=q):
                     alphas = [np.asarray(alpha, dtype=np.float64)
                               for alpha in self.optimizer.suggest_batch(q)]
@@ -181,8 +169,6 @@ class AsyncTrialScheduler:
                 # order (and a pool may even return them shuffled); the
                 # trace is built from trial indices alone.
                 for result in sorted(results, key=lambda r: r["index"]):
-                    telemetry.absorb(result.pop("telemetry", None),
-                                     under=batch_span)
                     slot = result["index"] - completed
                     self.optimizer.observe(alphas[slot], result["value"])
                     commit(alphas[slot], result)

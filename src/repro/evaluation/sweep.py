@@ -344,8 +344,7 @@ class DriftSweepEngine:
         backend = resolve_backend(self.backend, workers=self.workers)
         backend.open(EvalContext(model=self.model, data=self.data,
                                  evaluate_fn=self.evaluate_fn,
-                                 evaluator=self.evaluator,
-                                 trace=telemetry.enabled))
+                                 evaluator=self.evaluator))
         backend_broken = False
         if self.shared_cache:
             for digest, (score, loss) in self.shared_cache.items():

@@ -1,35 +1,29 @@
-"""Pluggable execution layer: where fault-trial evaluations actually run.
+"""Pluggable execution layer: where evaluations actually run.
 
 The measurement layer (:class:`~repro.evaluation.sweep.DriftSweepEngine`)
 decides *what* to evaluate — pre-drawn, deduplicated, content-addressed
-fault trials — and this package decides *where*:
+fault trials — and this package decides *where*.  One primitive,
+:class:`TaskPool`, runs every process fan-out: ``map_ordered(task_fn,
+context, payloads)`` publishes the context once (digest-keyed shared
+memory), ships the payloads, and returns results in submission order,
+degrading to in-process execution if the pool breaks.  Its three users
+differ only in their payloads:
 
-* :class:`SerialBackend` — in the calling process (the default, and the
-  universal fallback);
-* :class:`ProcessPoolBackend` — a fork/spawn worker pool with one pickled
-  trial per task (model/data shipped once per worker);
-* :class:`SharedMemoryBackend` — the same pool, but each chunk's weight
-  arrays are published once via ``multiprocessing.shared_memory`` and tasks
-  carry only ``(digest, segment, offset-table)`` messages, cutting per-task
-  shipping from megabytes to kilobytes on deep models.
+* trial backends — :class:`SerialBackend` (in-process, the default and
+  the universal fallback), :class:`ProcessPoolBackend` (pickled trial
+  arrays per task) and :class:`SharedMemoryBackend` (each chunk's weights
+  published once; tasks carry only offset tables);
+* :class:`SearchTrialPool` — concurrent BO search trials;
+* :func:`run_cells` — independent scenario cells.
 
-Because backends receive fully-materialised weights and consume no
-randomness, seeded results are bit-identical across every backend and
-worker count.  :func:`resolve_backend` maps configuration (``None``, a
-registry name, or an instance) to a backend, and two sibling modules apply
-the same idea at coarser granularities: :mod:`repro.execution.cells` fans
-independent scenario cells over a worker pool, and
-:mod:`repro.execution.search` fans concurrent search trials (train +
-evaluate units from batched Bayesian optimisation) over a persistent one.
-
-All of them draw their pools from the process-wide warm
-:class:`~repro.execution.runtime.ExecutionRuntime`: pools are leased and
-returned still running, and worker context travels as digest-keyed
-shared-memory payloads, so back-to-back sweeps (the BO inner loop) stop
-paying fork + context shipping per sweep.  ``configure_runtime``,
-``REPRO_WARM_RUNTIME=0`` or a backend's ``warm=False`` restore the
-historical pool-per-sweep behaviour; results are byte-identical either
-way.
+Pools come from the process-wide warm :class:`ExecutionRuntime`: they are
+leased and returned still running, so back-to-back sweeps (the BO inner
+loop) stop paying fork + context shipping per sweep.
+``configure_runtime(enabled=False)`` (``python -m repro run
+--cold-runtime``) makes every ``TaskPool`` lease from a private runtime it
+shuts down at ``close()`` instead.  Backends receive fully-materialised
+weights and consume no randomness, so seeded results are bit-identical
+across every backend, worker count and warm or cold runtime.
 """
 
 from .base import (
@@ -40,6 +34,7 @@ from .runtime import (
     ExecutionRuntime, configure_runtime, get_runtime, shutdown_runtime,
     using_runtime,
 )
+from .pool import TaskPool
 from .serial import SerialBackend
 from .process import ProcessPoolBackend
 from .shared import SharedMemoryBackend
@@ -51,7 +46,7 @@ __all__ = [
     "available_backends", "register_backend", "resolve_backend",
     "validate_backend",
     "ExecutionRuntime", "configure_runtime", "get_runtime",
-    "shutdown_runtime", "using_runtime",
+    "shutdown_runtime", "using_runtime", "TaskPool",
     "SerialBackend", "ProcessPoolBackend", "SharedMemoryBackend",
     "run_cells", "SearchTrialPool", "SEARCH_BACKENDS",
 ]

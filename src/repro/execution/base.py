@@ -55,26 +55,18 @@ class EvalContext:
     Trial application is *not* part of the context: in-process execution
     receives an ``apply_trial`` callable with each :meth:`run_trials` batch
     (the engine's already-snapshotted injector), and worker processes build
-    their own injector from the clean model they receive at pool start.
+    their own injector from the clean model published to them.
 
     ``evaluator`` is the :class:`~repro.inference.InferenceEvaluator`
     driving the model calls (``None`` means per-trial).  Backends read its
     ``trial_batch`` to group trials into worker tasks and ship the
     evaluator itself to workers, so batching happens worker-side.
-
-    ``trace`` is the one bit of telemetry state that crosses the process
-    boundary: the engine sets it from ``telemetry.current().enabled`` so
-    workers know whether to capture local spans and ship a snapshot back
-    with their results.  It is a plain flag — the parent's tracer object
-    never travels — and it carries no entropy, so it cannot perturb the
-    determinism contract.
     """
 
     model: object
     data: object
     evaluate_fn: Callable
     evaluator: object | None = None
-    trace: bool = False
 
 
 @dataclass

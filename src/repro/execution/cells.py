@@ -9,90 +9,46 @@ rename (first writer wins on duplicate hashes), and the SQLite index rows
 serialize behind WAL locking with a busy-timeout — each worker process
 opens its own connection (never inherited across ``fork``), so N workers
 hammering one store lose no entries and leave a consistent index
-(``tests/test_store.py`` asserts exactly that).  This module ships whole
-*cells* —
-a few kilobytes of spec JSON each — to worker processes, in contrast to the
-trial backends which ship drifted weights; each worker trains, sweeps and
-saves its cell into the store, so a matrix fill-in killed at any point
-resumes from whatever cells finished.
-
-Kept inside :mod:`repro.execution` (not :mod:`repro.scenarios`) so the two
-fan-out granularities — trials within a sweep, cells within a matrix — live
-behind one execution layer.
+(``tests/test_store.py`` asserts exactly that).  Each cell task carries a
+few kilobytes of spec JSON through a :class:`~repro.execution.pool.TaskPool`;
+the worker trains, sweeps and saves its cell into the store, so a matrix
+fill-in killed at any point resumes from whatever cells finished.
 """
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-
-from ..telemetry import Telemetry, current, using
-from .process import _pool_context
-from .runtime import get_runtime
+from ..telemetry import current
+from .pool import FANOUT_BACKENDS, TaskPool
 
 __all__ = ["run_cells", "CELL_BACKENDS"]
 
 #: Cell fan-out ships declarative specs, not weight arrays, so only the
 #: generic pool applies; asking for ``shared_memory`` here is a category
 #: error the caller should hear about.
-CELL_BACKENDS = ("serial", "process")
+CELL_BACKENDS = FANOUT_BACKENDS
 
 
-class _PoolBroke(Exception):
-    """Internal marker: the *pool* failed, not a cell.
+def _execute_cell(context: dict, spec_payload: dict) -> dict:
+    """Task: execute one declarative cell, persist it, return it.
 
-    Raised around pool construction/submission (fork limits, pickling) and
-    on :class:`BrokenExecutor` from a result — the cases where re-running
-    the remaining cells in-process can actually succeed.  A deterministic
-    error raised *by a cell's own execution* surfaces from
-    ``future.result()`` with its original type and must propagate
-    unchanged: retrying it serially would only fail again, after wasted
-    training.  Classifying by *where* the exception came from (submission
-    vs a completed task) rather than by type is what keeps e.g. a cell's
-    ``OSError`` (disk full while saving to the store) from being mistaken
-    for pool breakage.
-    """
-
-    def __init__(self, error: BaseException):
-        super().__init__(f"{type(error).__name__}: {error}")
-        self.error = error
-
-
-def _execute_cell(spec_payload: dict, store_root: str | None,
-                  scenario: str | None, runner_kwargs: dict,
-                  trace: bool = False) -> dict:
-    """Worker task: execute one declarative cell, persist it, return it.
-
-    Runs in a child process, so everything crosses as plain data.  The cell
-    executes exactly the code path :meth:`ScenarioRunner.run` uses in the
-    parent — same registries, same seeding, same store writes, same
-    scheduling overrides (``runner_kwargs`` carries the parent runner's
+    Everything crosses as plain data.  The cell executes exactly the code
+    path :meth:`ScenarioRunner.run` uses in the parent — same registries,
+    same seeding, same store writes, same scheduling overrides
+    (``context["runner_kwargs"]`` carries the parent runner's
     ``workers``/``max_chunk_trials``/``backend``) — which is what keeps
-    fanned-out matrices bit-identical to serial ones.  When the parent
-    session is tracing, the worker captures its own span tree (the same
-    protocol as the trial backends) and ships the snapshot back with the
-    cell result.
+    fanned-out matrices bit-identical to serial ones.
     """
     from ..scenarios.runner import ScenarioRunner
     from ..scenarios.spec import ScenarioSpec
     from ..scenarios.store import ResultStore
 
-    spec = ScenarioSpec.from_dict(spec_payload)
+    store_root = context["store_root"]
     store = None if store_root is None else ResultStore(store_root)
-    runner = ScenarioRunner(store, **runner_kwargs)
-
-    def execute() -> dict:
-        run = runner.run(spec, scenario=scenario)
-        return {"report": run.report.as_dict(), "cached": run.cached,
-                "elapsed_seconds": run.elapsed_seconds, "telemetry": None}
-
-    if not trace:
-        return execute()
-    telemetry = Telemetry()
-    with using(telemetry):
-        payload = execute()
-    payload["telemetry"] = telemetry.snapshot()
-    return payload
+    runner = ScenarioRunner(store, **context["runner_kwargs"])
+    run = runner.run(ScenarioSpec.from_dict(spec_payload),
+                     scenario=context["scenario"])
+    return {"report": run.report.as_dict(), "cached": run.cached,
+            "elapsed_seconds": run.elapsed_seconds}
 
 
 def run_cells(specs, store_root: str | None, scenario: str | None,
@@ -100,90 +56,28 @@ def run_cells(specs, store_root: str | None, scenario: str | None,
               progress=None) -> tuple[list[dict], str | None]:
     """Execute cells over ``workers`` processes; results in ``specs`` order.
 
-    A *pool* failure (fork limits, pickling, a dead worker) degrades the
-    remaining cells to in-process execution with a warning — the same
-    contract as the trial backends — so a matrix run always completes.  An
-    error raised by a cell itself is deterministic and propagates unchanged
-    (re-running it serially would only fail again, after wasted work).
-
-    Returns ``(results, fallback_reason)``: the second element is ``None``
-    for a healthy run and the breakage description when the pool degraded —
-    callers surface it in run summaries so degraded matrices are detectable
-    after the warning has scrolled away.  ``progress``, when given, is
-    called once per finished cell (in completion order) with its result
-    dict — the hook behind ``--progress`` ETA lines.
+    A *pool* failure degrades the remaining cells to in-process execution
+    with a warning, so a matrix run always completes; an error raised by a
+    cell itself propagates unchanged.  Returns ``(results,
+    fallback_reason)``: the second element is ``None`` for a healthy run
+    and the breakage description when the pool degraded — callers surface
+    it in run summaries.  ``progress``, when given, is called once per
+    finished cell (in completion order) with its result dict — the hook
+    behind ``--progress`` ETA lines.
     """
-    payloads = [spec.to_dict() for spec in specs]
-    runner_kwargs = dict(runner_kwargs or {})
+    width = min(workers, len(specs))
+    context = {"store_root": store_root, "scenario": scenario,
+               "runner_kwargs": dict(runner_kwargs or {})}
     telemetry = current()
-    trace = telemetry.enabled
-    results: list[dict | None] = [None] * len(specs)
-    fallback_reason: str | None = None
-    with telemetry.span("cell_fanout", cells=len(specs),
-                        workers=workers) as span:
+    with telemetry.span("cell_fanout", cells=len(specs), workers=workers):
         # Worker-side sweeps report their own (serial) worker counts; the
         # fan-out's pool width is the figure that makes utilisation honest.
-        telemetry.gauge("workers", min(workers, len(specs)))
-        def drain(pool) -> None:
-            try:
-                futures = {pool.submit(_execute_cell, payload,
-                                       store_root, scenario,
-                                       runner_kwargs, trace):
-                           index
-                           for index, payload in enumerate(payloads)}
-            except Exception as error:  # submission/fork-time failure
-                raise _PoolBroke(error) from error
-            for future in as_completed(futures):
-                try:
-                    result = future.result()
-                except BrokenExecutor as error:
-                    raise _PoolBroke(error) from error
-                results[futures[future]] = result
-                telemetry.absorb(result.pop("telemetry", None),
-                                 under=span)
-                if progress is not None:
-                    progress(result)
-
-        # Cell tasks are self-contained (spec JSON + plain kwargs), so a
-        # warm bare pool from the runtime serves them directly — no
-        # context publication needed, and the workers stay up for the
-        # next matrix.  With the runtime opted out, the historical
-        # pool-per-call behaviour is unchanged.
-        lease = get_runtime().lease_pool(min(workers, len(specs)))
+        telemetry.gauge("workers", width)
+        pool = TaskPool(width, name="cell")
         try:
-            try:
-                if lease is not None:
-                    drain(lease.pool)
-                else:
-                    with ProcessPoolExecutor(
-                            max_workers=min(workers, len(specs)),
-                            mp_context=_pool_context()) as pool:
-                        drain(pool)
-            except _PoolBroke:
-                raise
-            except BrokenExecutor as error:
-                # The pool can also break while its context manager shuts
-                # down.
-                raise _PoolBroke(error) from error
-        except _PoolBroke as broke:
-            warnings.warn(f"cell fan-out fell back to serial execution "
-                          f"({broke})", RuntimeWarning, stacklevel=2)
-            fallback_reason = str(broke)
-            telemetry.add("cell_pool_fallbacks")
-            for index, payload in enumerate(payloads):
-                if results[index] is None:
-                    # In-process retry: the ambient session is this one, so
-                    # the cell's spans land directly without the worker
-                    # snapshot protocol.
-                    result = _execute_cell(payload, store_root, scenario,
-                                           runner_kwargs)
-                    result.pop("telemetry", None)
-                    results[index] = result
-                    if progress is not None:
-                        progress(result)
+            results = pool.map_ordered(_execute_cell, context,
+                                       [spec.to_dict() for spec in specs],
+                                       progress=progress)
         finally:
-            if lease is not None:
-                # A broken leased pool is evicted by the runtime here, so
-                # the next matrix leases a fresh one.
-                lease.release()
-    return results, fallback_reason
+            pool.close()
+    return results, pool.fallback_reason

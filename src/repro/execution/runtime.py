@@ -1,36 +1,40 @@
-"""Warm execution runtime: persistent worker pools + digest-keyed segments.
+"""Execution runtime: leased worker pools + digest-keyed segments.
 
-Every sweep used to build its own worker pool and tear it down at
-``backend.close()`` — a BayesFT search (one full sweep per BO trial) paid
-fork, initializer shipping and dataset publication dozens of times per
-run, which is exactly the overhead-dominated regime where the async BO
-fan-out measured *slower* than serial.  :class:`ExecutionRuntime` fixes
-that by making the expensive resources process-wide and leased:
+:class:`ExecutionRuntime` owns the expensive execution resources — worker
+pools and shared-memory segments — and hands them out as leases.  Every
+fan-out in this package reaches them through
+:class:`~repro.execution.pool.TaskPool`; nothing else builds a pool.
 
-* **Warm pools.**  Pools are *bare* ``ProcessPoolExecutor``s (no
+* **Pools.**  Pools are *bare* ``ProcessPoolExecutor``s (no
   initializer), keyed by ``(workers, multiprocessing start method)``, so
-  the same pool serves trial backends, search-trial fan-out and cell
-  fan-out alike.  ``lease_pool()`` hands out the cached pool (or forks a
-  new one on a cold start); releasing a lease leaves the pool warm for
-  the next sweep.
+  one pool serves trial backends, search-trial fan-out and cell fan-out
+  alike.  ``lease_pool()`` hands out the cached pool (or forks a new one
+  on a cold start); releasing a lease leaves the pool running for the
+  next sweep.
 * **Digest-keyed segments.**  Worker context (model weights, evaluation
-  data, evaluate_fn, evaluator) no longer rides in a pool initializer —
-  it is pickled once, content-hashed, published into a
-  ``multiprocessing.shared_memory`` segment and *leased by digest*:
-  identical content (the same trained weights across a σ grid, the same
-  dataset across every BO trial) is published once and re-leased, and
-  only changed payloads are re-shipped.  Workers install a context on
-  first use and skip the unpickle entirely when a task arrives with the
-  digest they already hold.
+  data, evaluate_fn, evaluator) is pickled once, content-hashed,
+  published into a ``multiprocessing.shared_memory`` segment and *leased
+  by digest*: identical content (the same trained weights across a σ
+  grid, the same dataset across every BO trial) is published once and
+  re-leased, and only changed payloads are re-shipped.
+
+The process-wide runtime (:func:`get_runtime`) is the *warm* one: its
+pools outlive every sweep.  "Cold" execution is not a second code path
+but a *private* runtime — any other ``ExecutionRuntime`` — that a
+``TaskPool`` builds for itself and shuts down at ``close()``, used when
+the process-wide runtime is opted out (``configure_runtime(enabled=False)``,
+``python -m repro run --cold-runtime``) and inside worker processes.
 
 Lifecycle rules, all load-bearing:
 
 * **Fork safety.**  A lease never crosses ``fork``: the runtime stamps
   its owning PID and resets itself (dropping — *not* closing — the
   parent's pools and segments) the first time it is touched from a new
-  process.  Leases are also only handed out in the main process — worker
-  processes exit via ``os._exit`` without running ``atexit`` hooks, so a
-  warm pool created inside a worker would leak its grandchildren.
+  process.  The process-wide runtime only leases in the main process —
+  worker processes exit via ``os._exit`` without running ``atexit``
+  hooks, so a warm pool created inside a worker would leak its
+  grandchildren.  A private runtime may live in a worker because its
+  owner shuts it down.
 * **Idle TTL.**  Unleased pools and segments older than ``idle_ttl``
   seconds are reaped on the next runtime touch (and idle segments beyond
   ``max_idle_segments`` are evicted oldest-first, bounding ``/dev/shm``
@@ -46,12 +50,7 @@ Counters — ``pool_reuses`` / ``segment_reuses`` / ``cold_starts`` /
 telemetry session, so ``trace summarize`` shows how warm a run actually
 ran.  The determinism contract is untouched: the runtime moves *where*
 pools and bytes live, never what is evaluated — canonical reports and
-golden BO traces are byte-identical with reuse on or off.
-
-Opting out: ``configure_runtime(enabled=False)``, the
-``REPRO_WARM_RUNTIME=0`` environment variable, a backend's
-``warm=False``, or ``python -m repro run --cold-runtime`` all restore
-the historical pool-per-sweep behaviour.
+golden BO traces are byte-identical warm or cold.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from ..telemetry import MetricsRegistry, current
 __all__ = [
     "ExecutionRuntime", "PoolLease", "SegmentLease",
     "get_runtime", "configure_runtime", "shutdown_runtime", "using_runtime",
-    "read_payload",
+    "attach_segment", "read_payload",
 ]
 
 #: Idle seconds after which an unleased pool or segment is reaped.
@@ -83,39 +82,34 @@ DEFAULT_IDLE_TTL = 300.0
 #: trial and must not grow ``/dev/shm`` without bound.
 DEFAULT_MAX_IDLE_SEGMENTS = 8
 
-_ENV_KNOB = "REPRO_WARM_RUNTIME"
-
-
-def _env_enabled() -> bool:
-    value = os.environ.get(_ENV_KNOB, "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
 def _in_main_process() -> bool:
     return multiprocessing.parent_process() is None
 
 
 def _pool_method() -> str:
-    """The start method warm pools use — mirrors ``process._pool_context``."""
+    """The start method pools use: ``fork`` wherever the platform has it."""
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return multiprocessing.get_start_method(allow_none=False)
 
 
-def _untrack_attachment(segment: shared_memory.SharedMemory) -> None:
-    """Keep a mere attachment out of a spawned process's resource tracker.
+def attach_segment(name: str) -> shared_memory.SharedMemory:
+    """Attach to a segment another process owns, without adopting it.
 
-    Same rule as ``shared._attach``: on CPython < 3.13 spawned processes
-    register attachments with their own tracker and would double-unlink
-    the owner's segment at exit; forked processes share the owner's
-    tracker, where the duplicate registration is a set no-op.
+    On CPython < 3.13 spawned processes register mere attachments with
+    their own resource tracker and would double-unlink the owner's segment
+    at exit, so the attachment is unregistered there.  Forked processes
+    share the owner's tracker, where the duplicate registration is a set
+    no-op and unregistering would make the owner's own unlink fail.
     """
+    segment = shared_memory.SharedMemory(name=name)
     if "fork" not in multiprocessing.get_all_start_methods():
         try:
             from multiprocessing import resource_tracker
             resource_tracker.unregister(segment._name, "shared_memory")
         except Exception:
             pass  # tracking semantics differ across versions; never fatal
+    return segment
 
 
 def read_payload(handle: tuple) -> object:
@@ -126,9 +120,8 @@ def read_payload(handle: tuple) -> object:
     later reap/unlink in the owning process cannot invalidate anything.
     """
     digest, name, nbytes = handle
-    segment = shared_memory.SharedMemory(name=name)
+    segment = attach_segment(name)
     try:
-        _untrack_attachment(segment)
         return pickle.loads(bytes(segment.buf[:nbytes]))
     finally:
         segment.close()
@@ -140,7 +133,6 @@ def read_payload(handle: tuple) -> object:
 @dataclass
 class _PoolEntry:
     pool: ProcessPoolExecutor
-    workers: int
     leases: int = 0
     last_used: float = field(default_factory=time.monotonic)
 
@@ -153,48 +145,35 @@ class _SegmentEntry:
     last_used: float = field(default_factory=time.monotonic)
 
 
-class PoolLease:
-    """A borrowed warm pool.  ``release()`` returns it, still running."""
+class _Lease:
+    """A borrowed runtime resource; ``release()`` hands it back once."""
 
-    def __init__(self, runtime: "ExecutionRuntime", key: tuple,
-                 entry: _PoolEntry):
-        self._runtime = runtime
+    def __init__(self, release, key, entry):
+        self._release = release
         self._key = key
         self._entry = entry
         self._released = False
+
+    def release(self) -> None:
+        if not self._released:
+            self._released = True
+            self._release(self._key, self._entry)
+
+
+class PoolLease(_Lease):
+    """A borrowed pool.  ``release()`` returns it, still running."""
 
     @property
     def pool(self) -> ProcessPoolExecutor:
         return self._entry.pool
 
-    @property
-    def workers(self) -> int:
-        return self._entry.workers
 
-    def release(self) -> None:
-        if not self._released:
-            self._released = True
-            self._runtime._release_pool(self._key, self._entry)
-
-
-class SegmentLease:
+class SegmentLease(_Lease):
     """A borrowed published segment; ``handle`` is its caller-defined meta."""
-
-    def __init__(self, runtime: "ExecutionRuntime", key: str,
-                 entry: _SegmentEntry):
-        self._runtime = runtime
-        self._key = key
-        self._entry = entry
-        self._released = False
 
     @property
     def handle(self):
         return self._entry.meta
-
-    def release(self) -> None:
-        if not self._released:
-            self._released = True
-            self._runtime._release_segment(self._key, self._entry)
 
 
 # --------------------------------------------------------------------------- #
@@ -210,10 +189,10 @@ class ExecutionRuntime:
     closing resources the parent still owns.
     """
 
-    def __init__(self, enabled: bool | None = None,
+    def __init__(self, enabled: bool = True,
                  idle_ttl: float = DEFAULT_IDLE_TTL,
                  max_idle_segments: int = DEFAULT_MAX_IDLE_SEGMENTS):
-        self._enabled = _env_enabled() if enabled is None else bool(enabled)
+        self._enabled = bool(enabled)
         self.idle_ttl = float(idle_ttl)
         self.max_idle_segments = int(max_idle_segments)
         self._pid = os.getpid()
@@ -224,8 +203,13 @@ class ExecutionRuntime:
     # -- knobs ---------------------------------------------------------- #
     @property
     def enabled(self) -> bool:
-        """Warm leasing is on, and this is the process that may own pools."""
-        return self._enabled and _in_main_process()
+        """Leasing is on, and this process may own this runtime's pools.
+
+        The process-wide runtime leases only in the main process; any
+        other runtime is private to the owner that built it (a worker's
+        task pool included), which shuts it down.
+        """
+        return self._enabled and (self is not _GLOBAL or _in_main_process())
 
     def configure(self, enabled: bool | None = None,
                   idle_ttl: float | None = None,
@@ -268,8 +252,8 @@ class ExecutionRuntime:
         """Lease a warm bare pool of ``workers`` processes, or ``None``.
 
         ``None`` means the runtime is opted out (or this is a worker
-        process) and the caller should build its own cold pool exactly as
-        before the runtime existed.
+        process); :class:`~repro.execution.pool.TaskPool` then leases from
+        a private runtime instead.
         """
         if workers < 2 or not self.enabled:
             return None
@@ -284,14 +268,14 @@ class ExecutionRuntime:
             pool = ProcessPoolExecutor(
                 max_workers=int(workers),
                 mp_context=multiprocessing.get_context(_pool_method()))
-            entry = _PoolEntry(pool=pool, workers=int(workers))
+            entry = _PoolEntry(pool=pool)
             self._pools[key] = entry
             self._count("cold_starts")
         else:
             self._count("pool_reuses")
         entry.leases += 1
         entry.last_used = time.monotonic()
-        return PoolLease(self, key, entry)
+        return PoolLease(self._release_pool, key, entry)
 
     def _drop_pool(self, key: tuple, entry: _PoolEntry, wait: bool) -> None:
         if self._pools.get(key) is entry:
@@ -333,7 +317,7 @@ class ExecutionRuntime:
             self._count("segment_reuses")
         entry.leases += 1
         entry.last_used = time.monotonic()
-        return SegmentLease(self, key, entry)
+        return SegmentLease(self._release_segment, key, entry)
 
     def lease_payload(self, payload: bytes) -> SegmentLease | None:
         """Publish (or re-lease) a pickled payload, keyed by its content.

@@ -5,41 +5,37 @@ every trial's full drifted parameter arrays into its task message — for a
 PreAct-ResNet that is megabytes per task, and the pickling alone can cost
 more than the evaluation.  :class:`SharedMemoryBackend` instead publishes
 each chunk's flattened parameter block exactly once via
-``multiprocessing.shared_memory`` and ships only ``(digest, segment name,
-{parameter: (offset, shape)})`` per task; workers map the segment, copy
-their trial's arrays out of it, and evaluate as usual.  The arrays are
-bit-identical either way (float64 bytes are copied, never re-encoded), so
-the engine's determinism contract holds unchanged.
+``multiprocessing.shared_memory`` and ships only ``(segment name,
+[(digest, {parameter: (offset, shape)}), ...])`` per task; workers map the
+segment, copy their trial's arrays out of it, and evaluate as usual.  The
+arrays are bit-identical either way (float64 bytes are copied, never
+re-encoded), so the engine's determinism contract holds unchanged.
 
 Segment lifecycle: the main process creates one segment per
 ``run_trials`` chunk and unlinks it as soon as the chunk's results are in;
 workers cache their attachment per segment name (closing the previous one
 when a new chunk arrives) and always copy out of the mapping, so no live
 array ever aliases an unlinked segment.  The evaluation dataset rides in a
-second, *pinned* segment created with the pool and unlinked only when the
-backend closes — its zero-copy worker views outlive every trial chunk.  Workers also unregister attached
-segments from ``multiprocessing.resource_tracker`` — on CPython < 3.13 the
-tracker registers mere attachments and would try to double-unlink them at
-worker shutdown.
+second, *pinned* segment leased from the task pool's runtime by content
+digest — its zero-copy worker views outlive every trial chunk, and a BO
+run re-leases it across sweeps instead of re-publishing it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Callable
 
 import numpy as np
 
 from ..data.loader import Dataset
-from ..telemetry import Telemetry, current, using
 from .base import TrialResult, register_backend
-from .process import (_init_worker, _pool_context, _WORKER_STATE,
+from .pool import TaskPool
+from .process import (_evaluate_trials, _install_trial_context,
                       ProcessPoolBackend)
-from .runtime import get_runtime, read_payload
+from .runtime import attach_segment
 
 __all__ = ["SharedMemoryBackend"]
 
@@ -59,34 +55,22 @@ def _attach(segment_name: str, pin: bool = False) -> shared_memory.SharedMemory:
 
     Trial segments rotate per chunk, so a new attachment evicts the cached
     previous one.  Pinned segments (the published evaluation dataset, whose
-    zero-copy views must stay valid for the pool's lifetime) survive the
-    rotation.
+    zero-copy views must stay valid while its context is installed)
+    survive the rotation.
     """
     segment = _ATTACHED.get(segment_name)
     if segment is None:
         for stale in [name for name in _ATTACHED if name not in _PINNED]:
             _ATTACHED.pop(stale).close()
-        segment = shared_memory.SharedMemory(name=segment_name)
-        import multiprocessing
-        if "fork" not in multiprocessing.get_all_start_methods():
-            # Spawned workers run their own resource tracker, which (on
-            # CPython < 3.13) registers mere attachments and would try to
-            # unlink the parent's segment again at worker shutdown.  Forked
-            # workers share the parent's tracker, where the duplicate
-            # registration is a set no-op and unregistering here would make
-            # the parent's own unlink fail instead.
-            try:
-                from multiprocessing import resource_tracker
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:
-                pass  # tracking semantics differ across versions; never fatal
+        segment = attach_segment(segment_name)
         _ATTACHED[segment_name] = segment
         if pin:
             _PINNED.add(segment_name)
     return segment
 
 
-def _run_shared_group(segment_name: str, entries: list) -> dict:
+def _evaluate_shared_group(state: dict, message: tuple) -> list[TrialResult]:
+    segment_name, entries = message
     segment = _attach(segment_name)
     pending = {}
     for digest, table in entries:
@@ -98,22 +82,7 @@ def _run_shared_group(segment_name: str, entries: list) -> dict:
             # array aliasing a segment the main process is about to unlink.
             params[name] = np.array(view)
         pending[digest] = params
-    state = _WORKER_STATE
-
-    def evaluate() -> list[TrialResult]:
-        return state["evaluator"].run(state["model"], state["data"],
-                                      state["evaluate_fn"], pending,
-                                      state["injector"].apply_trial)
-
-    # Same result/telemetry envelope as the pickled pool's task function:
-    # capture local spans only when the parent session asked for them.
-    if not state.get("trace"):
-        return {"results": evaluate(), "telemetry": None}
-    telemetry = Telemetry()
-    with using(telemetry):
-        with telemetry.span("task", trials=len(entries)):
-            results = evaluate()
-    return {"results": results, "telemetry": telemetry.snapshot()}
+    return _evaluate_trials(state, pending)
 
 
 # --------------------------------------------------------------------------- #
@@ -121,7 +90,7 @@ def _run_shared_group(segment_name: str, entries: list) -> dict:
 # --------------------------------------------------------------------------- #
 @dataclass
 class _DatasetHandle:
-    """Pool-initializer stand-in for a published evaluation dataset."""
+    """Worker-context stand-in for a published evaluation dataset."""
 
     segment: str
     inputs_shape: tuple
@@ -135,8 +104,9 @@ def _attach_dataset(handle: _DatasetHandle) -> Dataset:
     """Rebuild the evaluation dataset over zero-copy views of its segment.
 
     The views are read-only in practice (evaluation never writes inputs or
-    labels) and stay valid because the segment is pinned for the worker's
-    lifetime; ``Dataset`` keeps float64 arrays as-is, so no copy is made.
+    labels) and stay valid because the segment stays pinned while its
+    context is installed; ``Dataset`` keeps float64 arrays as-is, so no
+    copy is made.
     """
     segment = _attach(handle.segment, pin=True)
     inputs = np.ndarray(handle.inputs_shape, dtype=np.float64,
@@ -149,20 +119,13 @@ def _attach_dataset(handle: _DatasetHandle) -> Dataset:
     return dataset
 
 
-def _init_shared_worker(model, data, evaluate_fn, evaluator=None,
-                        trace: bool = False) -> None:
-    if isinstance(data, _DatasetHandle):
-        data = _attach_dataset(data)
-    _init_worker(model, data, evaluate_fn, evaluator, trace)
-
-
 def _release_stale_pins(keep: set) -> None:
     """Close pinned dataset attachments not referenced by the new context.
 
-    With warm pools a worker outlives many contexts; only the dataset
-    views of the *currently installed* context are live, so older pinned
-    segments can be detached when a new context arrives — bounding the
-    worker's mapped memory by one dataset, not one per context ever seen.
+    A worker outlives many contexts; only the dataset views of the
+    *currently installed* context are live, so older pinned segments can
+    be detached when a new context arrives — bounding the worker's mapped
+    memory by one dataset, not one per context ever seen.
     """
     for name in [name for name in _PINNED if name not in keep]:
         _PINNED.discard(name)
@@ -171,29 +134,13 @@ def _release_stale_pins(keep: set) -> None:
             segment.close()
 
 
-def _install_shared_context(handle: tuple, trace: bool) -> None:
-    """Shared-memory twin of ``process._install_context``.
-
-    The payload's ``data`` slot may be a :class:`_DatasetHandle` pointing
-    at a runtime-owned pinned segment; the worker rebuilds the zero-copy
-    dataset over it exactly as the cold initializer does.
-    """
-    if _WORKER_STATE.get("context_digest") != handle[0]:
-        _WORKER_STATE.pop("context_digest", None)
-        model, data, evaluate_fn, evaluator = read_payload(handle)
-        if isinstance(data, _DatasetHandle):
-            _release_stale_pins(keep={data.segment})
-            data = _attach_dataset(data)
-        _init_worker(model, data, evaluate_fn, evaluator, trace)
-        _WORKER_STATE["context_digest"] = handle[0]
-    else:
-        _WORKER_STATE["trace"] = bool(trace)
-
-
-def _warm_run_shared_group(handle: tuple, trace: bool,
-                           segment_name: str, entries: list) -> dict:
-    _install_shared_context(handle, trace)
-    return _run_shared_group(segment_name, entries)
+def _install_shared_context(context: tuple) -> dict:
+    """Worker state for a context whose dataset may be a published handle."""
+    model, data, evaluate_fn, evaluator = context
+    if isinstance(data, _DatasetHandle):
+        _release_stale_pins(keep={data.segment})
+        data = _attach_dataset(data)
+    return _install_trial_context((model, data, evaluate_fn, evaluator))
 
 
 def _dataset_digest(data: Dataset) -> str:
@@ -212,72 +159,44 @@ def _dataset_digest(data: Dataset) -> str:
 class SharedMemoryBackend(ProcessPoolBackend):
     """Worker-pool execution that ships offset tables instead of weights.
 
-    Inherits the pool lifecycle (lazy creation, single-task chunks stay
+    Inherits the pool lifecycle (lazy engagement, single-task chunks stay
     in-process, failures degrade the sweep to serial) and the
     ``trial_batch`` task grouping from :class:`ProcessPoolBackend` and
     replaces only the payloads: per chunk, all unique trials' arrays are
     packed into one shared-memory segment, and each task carries a pickled
     ``(segment name, [(digest, offset table), ...])`` message of a few
     kilobytes regardless of model depth.  The evaluation dataset itself is
-    published the same way, once, at pool creation — workers rebuild it
-    over zero-copy views of a pinned segment instead of unpickling a full
-    copy each.  ``bytes_shipped`` counts the task messages plus the pickled
-    dataset handle, which is exactly what the ``BENCH_execution`` benchmark
+    published the same way, once — workers rebuild it over zero-copy views
+    of a pinned segment instead of unpickling a full copy each.
+    ``bytes_shipped`` counts the task messages plus the pickled dataset
+    handle, which is exactly what the ``BENCH_execution`` benchmark
     compares against the pickled pool.
     """
 
     name = "shared_memory"
     out_of_process = True
 
-    def __init__(self, workers: int = 2, warm: bool | None = None):
-        super().__init__(workers=workers, warm=warm)
+    def __init__(self, workers: int = 2):
+        super().__init__(workers=workers)
         self._segments: list[shared_memory.SharedMemory] = []
-        self._data_segment: shared_memory.SharedMemory | None = None
         self._data_lease = None
 
     # ------------------------------------------------------------------ #
-    def _initializer(self):
-        return _init_shared_worker
-
-    def _cold_initargs(self) -> tuple:
+    def _worker_context(self, tasks: TaskPool) -> tuple:
+        """The dataset leaves the context for its own digest-keyed pinned
+        segment, so a BO run whose weights change every trial re-ships
+        only the model pickle — the dataset segment is re-leased by
+        content.  Non-Dataset evaluation data (e.g. detection sample
+        lists) still travels pickled."""
         context = self.context
         data = context.data
         if isinstance(data, Dataset):
-            # Publish the evaluation data once instead of pickling a
-            # full copy into every worker's initializer; workers
-            # rebuild the dataset over zero-copy views.  Non-Dataset
-            # evaluation data (e.g. detection sample lists) still
-            # travels pickled.
-            segment, handle = self._publish_dataset(data)
-            self._data_segment = segment
-            self.metrics.counter("bytes_shipped").add(
-                len(pickle.dumps(handle)))
-            data = handle
-        return (context.model, data, context.evaluate_fn,
-                context.evaluator, context.trace)
-
-    def _context_payload(self) -> bytes:
-        """Warm-path context: the dataset leaves the payload for its own
-        digest-keyed pinned segment, so a BO run whose weights change
-        every trial re-ships only the model pickle — the dataset segment
-        is re-leased by content."""
-        context = self.context
-        data = context.data
-        if isinstance(data, Dataset):
-            self._data_lease = get_runtime().lease_segment(
-                _dataset_digest(data),
-                lambda: self._publish_dataset(data))
+            self._data_lease = tasks.runtime.lease_segment(
+                _dataset_digest(data), lambda: self._publish_dataset(data))
             data = self._data_lease.handle
             self.metrics.counter("bytes_shipped").add(
                 len(pickle.dumps(data)))
-        return pickle.dumps((context.model, data, context.evaluate_fn,
-                             context.evaluator))
-
-    def _submit_message(self, pool: ProcessPoolExecutor, message: tuple):
-        if self._context_handle is not None:
-            return pool.submit(_warm_run_shared_group, self._context_handle,
-                               self.context.trace, *message)
-        return pool.submit(_run_shared_group, *message)
+        return (context.model, data, context.evaluate_fn, context.evaluator)
 
     def _publish_dataset(self, data: Dataset
                          ) -> tuple[shared_memory.SharedMemory, _DatasetHandle]:
@@ -321,49 +240,31 @@ class SharedMemoryBackend(ProcessPoolBackend):
         segment.unlink()
         self._segments.remove(segment)
 
-    def run_trials(self, pending: dict[str, dict],
-                   apply_trial: Callable[[dict], None]) -> list[TrialResult]:
-        groups = self._group_pending(pending)
-        if len(groups) < 2:
-            return self._run_in_process(pending, apply_trial)
-        telemetry = current()
-        with telemetry.span("backend", backend=self.name,
-                            tasks=len(groups)) as span:
-            pool = self._ensure_pool(len(groups))
-            segment, tables = self._publish(pending)
-            bytes_counter = self.metrics.counter("bytes_shipped")
-            try:
-                futures = []
-                for group in groups:
-                    message = (segment.name,
-                               [(digest, tables[digest])
-                                for digest, _ in group])
-                    bytes_counter.add(len(pickle.dumps(message)))
-                    futures.append(self._submit_message(pool, message))
-                self.metrics.counter("tasks_shipped").add(len(futures))
-                results = []
-                for future in futures:
-                    payload = future.result()
-                    results.extend(payload["results"])
-                    telemetry.absorb(payload["telemetry"], under=span)
-            finally:
-                self._release(segment)
-            self.used_backend = self.name
-            self.workers_used = self._pool_width
-        return results
+    def _ship(self, tasks: TaskPool, pending: dict[str, dict],
+              groups: list[list]) -> list[list[TrialResult]]:
+        """Publish the chunk once; each task carries only offset tables."""
+        segment, tables = self._publish(pending)
+        try:
+            messages = [(segment.name,
+                         [(digest, tables[digest]) for digest, _ in group])
+                        for group in groups]
+            self.metrics.counter("tasks_shipped").add(len(messages))
+            self.metrics.counter("bytes_shipped").add(
+                sum(len(pickle.dumps(message)) for message in messages))
+            return tasks.map_ordered(_evaluate_shared_group,
+                                     self._context_payload, messages,
+                                     setup=_install_shared_context)
+        finally:
+            self._release(segment)
 
     def close(self) -> None:
-        super().close()
         # A chunk that died mid-flight can leave its segment behind;
         # closing the backend must never leak shared memory.
         for segment in list(self._segments):
             self._release(segment)
         if self._data_lease is not None:
-            # Runtime-owned dataset segment: hand the lease back (the
-            # segment stays published for the next sweep's digest hit).
+            # The segment stays published for the next sweep's digest hit
+            # (a private runtime unlinks it when the task pool closes).
             self._data_lease.release()
             self._data_lease = None
-        if self._data_segment is not None:
-            self._data_segment.close()
-            self._data_segment.unlink()
-            self._data_segment = None
+        super().close()

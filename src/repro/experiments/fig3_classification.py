@@ -62,24 +62,33 @@ def _model_kwargs(model_name: str, config: ExperimentConfig) -> dict:
 
 
 def _cell_spec(panel: str, method_label: str, model_name: str, dataset_name: str,
-               config: ExperimentConfig, seed: int, methods: tuple):
+               config: ExperimentConfig, seed: int, methods: tuple,
+               search_batch: int | None = None):
     """Identity of one (panel, method) sweep for the scenario result store.
 
     ``methods`` is part of the lineage: the harness threads one RNG through
     every method's model construction and training, so a cell's weights
     depend on which methods ran before it — a ``methods=(...)`` subset must
-    hash differently from the full panel.
+    hash differently from the full panel.  For the same reason
+    ``search_batch`` — the ``suggest_batch`` of a batched BayesFT search
+    that ran at or before this cell — is lineage too: batched search visits
+    different architectures (and draws the harness RNG differently) than
+    the sequential loop.  It is ``None`` after a sequential search, which
+    keeps those cells' hashes unchanged.
     """
     from ..scenarios.spec import ScenarioSpec
 
+    context = {"figure": f"fig3_{panel}", "harness_seed": seed,
+               "methods": list(methods)}
+    if search_batch is not None:
+        context["suggest_batch"] = search_batch
     return ScenarioSpec(
         name=method_label, model=model_name, dataset=dataset_name,
         sigmas=tuple(config.sigma_grid), trials=config.drift_trials,
         seed=seed, train=config,
         workers=int(config.extra.get("sweep_workers", 0)),
         max_chunk_trials=config.extra.get("sweep_chunk_trials"),
-        context={"figure": f"fig3_{panel}", "harness_seed": seed,
-                 "methods": list(methods)})
+        context=context)
 
 
 def run_classification_comparison(panel: str, config: ExperimentConfig | None = None,
@@ -117,11 +126,14 @@ def run_classification_comparison(panel: str, config: ExperimentConfig | None = 
 
     curves: list[RobustnessCurve] = []
     reports: list[SweepReport] = []
+    search_batch = None
     for method_name in methods:
         model = build_model(model_name, num_classes=num_classes,
                             in_channels=in_channels, image_size=16,
                             rng=rng, **model_kwargs)
         if method_name == "bayesft":
+            suggest_batch = int(config.extra.get("suggest_batch", 1))
+            search_workers = int(config.extra.get("search_workers", 0))
             searcher = BayesFT(sigma=float(config.extra.get("search_sigma", 0.6)),
                                n_trials=config.bo_trials,
                                epochs_per_trial=max(1, config.epochs // 2),
@@ -134,12 +146,15 @@ def run_classification_comparison(panel: str, config: ExperimentConfig | None = 
                                # short CPU training budget from learning at
                                # all; cap the search range accordingly.
                                max_dropout_rate=float(config.extra.get("max_dropout_rate", 0.5)),
-                               # Async-search scheduling knobs (never part of
-                               # the cell identity; see ScenarioSpec).
-                               suggest_batch=int(config.extra.get("suggest_batch", 1)),
-                               search_workers=int(config.extra.get("search_workers", 0)),
+                               # Either knob above 1 runs the batched search,
+                               # whose result differs from the sequential
+                               # loop's (recorded by _cell_spec).
+                               suggest_batch=suggest_batch,
+                               search_workers=search_workers,
                                rng=rng)
             searcher.fit(model, train_set)
+            if suggest_batch != 1 or search_workers > 1:
+                search_batch = suggest_batch
             label = "BayesFT"
         else:
             method = build_method(method_name, num_classes=num_classes,
@@ -153,7 +168,7 @@ def run_classification_comparison(panel: str, config: ExperimentConfig | None = 
         # latter bounds memory for the deep PreAct panels).
         evaluation_rng = np.random.default_rng(seed + 77771)
         spec = _cell_spec(panel, label, model_name, dataset_name, config, seed,
-                          methods)
+                          methods, search_batch)
         reports.append(runner.sweep_trained(model, test_set, spec,
                                             rng=evaluation_rng,
                                             scenario=f"fig3_{panel}"))

@@ -21,7 +21,9 @@ Subcommands:
 * ``gc`` — size accounting and garbage collection for long-lived stores.
 
 Everything prints human tables by default and JSON with ``--json``, so the
-CLI doubles as a machine interface for the benchmark suite and CI.
+CLI doubles as a machine interface for the benchmark suite and CI.  User
+errors — a missing or unreadable input file or store, an unknown scenario
+or backend name — print one labelled line to stderr and exit non-zero.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from ..data.registry import available_datasets
 from ..evaluation.statistics import curve_auc
@@ -50,6 +53,34 @@ from .query import QUERY_FIELDS, SCORE_FIELDS, StoreQuery
 from .store import ResultStore, ResultStoreError
 
 __all__ = ["main"]
+
+
+class CliError(Exception):
+    """A user error: reported as one ``error:`` line on stderr, exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors as one labelled stderr line, without the usage dump."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _open_store(path: str, must_exist: bool = True) -> ResultStore:
+    """The result store at ``path``; inspecting commands need it to exist."""
+    root = Path(path)
+    if root.exists() and not root.is_dir():
+        raise CliError(f"result store {path!r} is not a directory")
+    if must_exist and not root.is_dir():
+        raise CliError(f"no result store at {path!r}")
+    return ResultStore(root)
+
+
+def _scenario(name: str):
+    try:
+        return get_scenario(name)
+    except ValueError as error:
+        raise CliError(str(error)) from None
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -84,9 +115,9 @@ def _cmd_list(args) -> int:
 
 # --------------------------------------------------------------------------- #
 def _cmd_run(args) -> int:
+    store = _open_store(args.out, must_exist=False)
     if args.cold_runtime:
         configure_runtime(enabled=False)
-    store = ResultStore(args.out)
     reporter = None
     if args.progress:
         scenario = get_scenario(args.scenario)
@@ -146,7 +177,10 @@ def _cmd_run(args) -> int:
 
 # --------------------------------------------------------------------------- #
 def _cmd_trace_summarize(args) -> int:
-    summary = summarize_trace(args.path)
+    try:
+        summary = summarize_trace(args.path)
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        raise CliError(f"cannot read trace {args.path!r}: {error}") from None
     _emit(summary, args.json, format_trace_summary(summary, top=args.top))
     return 0
 
@@ -167,7 +201,7 @@ def _fmt(value: "float | None") -> str:
 
 
 def _cmd_report(args) -> int:
-    store = ResultStore(args.out)
+    store = _open_store(args.out)
     rows = []
     for spec, report, meta in store.entries():
         rows.append({"hash": spec.spec_hash()[:16], "name": spec.name,
@@ -193,10 +227,11 @@ def _cmd_report(args) -> int:
 
 # --------------------------------------------------------------------------- #
 def _cmd_compare(args) -> int:
-    store = ResultStore(args.out)
+    # A missing store is reported per cell below ("not in ...").
+    store = _open_store(args.out, must_exist=False)
     columns = []
     for name in args.scenarios:
-        scenario = get_scenario(name)
+        scenario = _scenario(name)
         if scenario.figure is not None:
             raise SystemExit(
                 f"compare works on grid scenarios; {name!r} is a figure "
@@ -232,7 +267,7 @@ def _cmd_compare(args) -> int:
 
 # --------------------------------------------------------------------------- #
 def _cmd_query(args) -> int:
-    store = ResultStore(args.out)
+    store = _open_store(args.out)
     filters = {field: getattr(args, field)
                for field in (*QUERY_FIELDS, "name", *SCORE_FIELDS, "limit")
                if getattr(args, field) is not None}
@@ -261,7 +296,7 @@ def _cmd_query(args) -> int:
 
 # --------------------------------------------------------------------------- #
 def _cmd_migrate_store(args) -> int:
-    store = ResultStore(args.out)
+    store = _open_store(args.out)
     result = store.migrate()
     payload = {"store": str(store.root), **result}
     _emit(payload, args.json,
@@ -283,7 +318,7 @@ def _fmt_bytes(count: int) -> str:
 
 
 def _cmd_gc(args) -> int:
-    store = ResultStore(args.out)
+    store = _open_store(args.out)
     before = store.stats()
     result = store.gc(keep_latest=args.keep_latest, dry_run=args.dry_run)
     after = before if args.dry_run else store.stats()
@@ -306,7 +341,7 @@ def _cmd_gc(args) -> int:
 
 # --------------------------------------------------------------------------- #
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro",
         description="BayesFT scenario orchestration: declarative "
                     "(model × dataset × fault × severity) experiment cells "
@@ -444,7 +479,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ResultStoreError as error:
+    except (CliError, ResultStoreError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except BrokenPipeError:

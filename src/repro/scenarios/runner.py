@@ -104,8 +104,9 @@ class ScenarioRunner:
         Async BO-search scheduling for figure scenarios whose harness runs a
         BayesFT search (fig3): ``suggest_batch`` architectures proposed per
         round, evaluated over ``search_workers`` processes.  Injected into
-        the harness config's ``extra`` (and stripped from cell hashes like
-        the other scheduling extras).  ``search_workers`` never changes
+        the harness config's ``extra``; a batched search records its
+        ``suggest_batch`` in the context (and so the hash) of the cells
+        it produces.  ``search_workers`` never changes a batched search's
         seeded results; the canonical trace depends only on
         ``suggest_batch``.
     progress:

@@ -190,16 +190,26 @@ class ScenarioSpec:
 
     **Identity vs scheduling.**  :meth:`spec_hash` covers every field that
     determines the numbers — model, dataset, fault, per-layer ``policy``,
-    grid, trials, seed, metric, training recipe, context — and deliberately
-    excludes ``workers``, ``max_chunk_trials``, ``backend``,
-    ``trial_batch``, ``search_workers`` and ``suggest_batch``: the sweep
-    engine and the async search scheduler guarantee bit-identical results
-    for any worker count, chunk size, execution backend, trial-batch size
-    or search-worker count, so scheduling knobs must never fragment the
-    result store.  (``suggest_batch`` *does* change the BO suggestion
-    sequence, but it is a scheduling choice of a figure-harness run, not
-    part of a declarative cell's identity — harness cells record their
-    lineage in ``context``.)
+    grid, trials, seed, metric, training recipe, context.  The rule: *a
+    field is excluded from the hash only if a byte-identity test proves
+    the numbers invariant to it*; anything else that can change a result
+    must enter the hash, or a store hit could return another experiment's
+    curve.  The excluded scheduling knobs and their proofs:
+
+    * ``workers``, ``max_chunk_trials``, ``backend``, ``trial_batch`` (and
+      the ``sweep_workers`` / ``sweep_chunk_trials`` extras) — canonical
+      sweep reports are byte-identical across them
+      (``tests/test_execution.py``, ``tests/test_inference.py``);
+    * ``search_workers`` and ``suggest_batch`` — a declarative cell runs
+      no search, so its stored bytes cannot depend on them
+      (``tests/test_scenarios.py``).  Where a search does produce the
+      model (the Figure-3 BayesFT cell and the cells trained after it on
+      the same harness RNG), the batched path changes the result, so the
+      harness records ``suggest_batch`` in ``context`` — part of the hash
+      — whenever the search ran batched; the worker count stays out
+      (``tests/test_bayesopt_async.py`` proves batched searches identical
+      across it).  Sequential-search cells carry no such key, so their
+      hashes are unchanged.
     """
 
     name: str

@@ -484,12 +484,12 @@ class TestDatasetPublication:
         DriftSweepEngine(model, test_set, trials=3, rng=3,
                          backend=backend).run((0.5, 1.0))
         # The engine closes the backend after the sweep: the pinned dataset
-        # segment must be gone along with the per-chunk trial segments.
+        # lease must be gone along with the per-chunk trial segments.
         assert backend._segments == []
-        assert backend._data_segment is None
+        assert backend._data_lease is None
 
     def test_dataset_handle_counts_toward_bytes_shipped(self, trained):
-        """Publication replaces the initializer's pickled dataset copy."""
+        """Publication replaces a pickled dataset copy in the context."""
         import pickle
 
         model, test_set = trained
@@ -498,7 +498,7 @@ class TestDatasetPublication:
                                   backend="shared_memory").run((0.8, 1.2))
         assert report.backend == "shared_memory"
         # The handle is tiny but non-zero — and orders of magnitude smaller
-        # than the dataset it replaces in the worker-initializer payload.
+        # than the dataset it replaces in the published worker context.
         assert report.bytes_shipped > 0
         assert len(pickle.dumps(test_set)) > 10_000
 
@@ -517,7 +517,7 @@ class TestDatasetPublication:
                                   evaluate_fn=_accuracy_on_samples)
         assert (engine.run((0.8,)).to_json(canonical=True)
                 == serial.run((0.8,)).to_json(canonical=True))
-        assert backend._data_segment is None  # nothing was published
+        assert backend._data_lease is None  # nothing was published
 
     def test_worker_views_match_the_published_dataset(self, trained):
         from repro.execution.shared import (_attach_dataset,
@@ -528,9 +528,8 @@ class TestDatasetPublication:
         backend = SharedMemoryBackend(workers=2)
         backend.open(EvalContext(model=model, data=test_set,
                                  evaluate_fn=ClassificationAccuracy()))
+        segment, handle = backend._publish_dataset(test_set)
         try:
-            segment, handle = backend._publish_dataset(test_set)
-            backend._data_segment = segment
             rebuilt = _attach_dataset(handle)
             np.testing.assert_array_equal(rebuilt.inputs, test_set.inputs)
             np.testing.assert_array_equal(rebuilt.labels, test_set.labels)
@@ -544,6 +543,8 @@ class TestDatasetPublication:
             attached = _ATTACHED.pop(handle.segment, None)
             if attached is not None:
                 attached.close()
+            segment.close()
+            segment.unlink()
             backend.close()
 
 

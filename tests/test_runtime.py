@@ -1,6 +1,6 @@
-"""Tests for the warm execution runtime (`repro.execution.runtime`).
+"""Tests for the execution runtime and its one client, ``TaskPool``.
 
-Three contracts, in descending order of importance:
+Four contracts, in descending order of importance:
 
 * **Determinism is untouched.**  Canonical sweep reports, golden BO
   traces and store bytes are byte-identical with warm reuse on or off —
@@ -10,6 +10,9 @@ Three contracts, in descending order of importance:
   evicted instead of resold, the idle TTL and segment cap actually reap,
   and ``shutdown()`` leaves no live worker processes and no
   ``/dev/shm`` segments behind.
+* **One fan-out primitive.**  ``TaskPool`` returns results in submission
+  order, lets a task's own error propagate, degrades a dead pool to
+  serial with one warning, and — cold — leaves nothing behind.
 * **Observability.**  ``pool_reuses`` / ``cold_starts`` /
   ``segment_reuses`` surface through the ambient telemetry session and
   the ``trace summarize`` report, and ``workers_used`` reflects the
@@ -22,6 +25,7 @@ import multiprocessing
 import os
 import pickle
 import time
+import warnings
 from contextlib import contextmanager
 from multiprocessing import shared_memory
 
@@ -30,7 +34,7 @@ import pytest
 
 from repro.data import SyntheticMNIST, train_test_split
 from repro.evaluation import DriftSweepEngine
-from repro.execution import validate_backend
+from repro.execution import TaskPool, validate_backend
 from repro.execution.runtime import (
     ExecutionRuntime, get_runtime, read_payload, using_runtime,
 )
@@ -75,6 +79,36 @@ def _probe_nested_lease(_):
 
 def _kill_worker(_):
     os._exit(1)
+
+
+def _reverse_finish_task(context, payload):
+    # The first payload sleeps longest, so workers finish in reverse order.
+    time.sleep(context["step"] * (context["count"] - payload))
+    return {"index": payload, "pid": os.getpid()}
+
+
+def _oserror_task(context, payload):
+    raise OSError(f"disk full while saving cell {payload}")
+
+
+def _exit_outside_parent_task(context, payload):
+    if os.getpid() != context["parent"]:
+        os._exit(1)  # kill the worker: only in-process execution survives
+    return payload * 10
+
+
+def _pid_task(context, payload):
+    return os.getpid()
+
+
+def _wait_dead(pid: int) -> bool:
+    for _ in range(100):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
 
 
 def _child_runtime_view(queue):
@@ -281,14 +315,13 @@ class TestWarmColdIdentity:
             assert counters["pool_reuses"] >= 1
         assert cold == warm_first == warm_second
 
-    def test_backend_opt_out_restores_cold_pools(self, trained):
-        from repro.execution import ProcessPoolBackend
-        with fresh_runtime() as runtime:
-            backend = ProcessPoolBackend(workers=2, warm=False)
-            warm_off = _canonical(trained, backend=backend)
+    def test_cold_runtime_leases_nothing_from_the_global_one(self, trained):
+        with fresh_runtime(enabled=False) as runtime:
+            cold = _canonical(trained, backend="process", workers=2)
             assert runtime.stats()["pools"] == 0
-        with fresh_runtime(enabled=False):
-            assert warm_off == _canonical(trained, backend="process", workers=2)
+            assert runtime.stats()["segments"] == 0
+        with fresh_runtime():
+            assert cold == _canonical(trained, backend="process", workers=2)
 
     def test_async_bo_golden_trace_byte_identical(self):
         from repro.core import (
@@ -345,6 +378,82 @@ class TestWarmColdIdentity:
                     for spec in specs()
                     for name in ("spec.json", "report.json")}
         assert blobs["cold"] == blobs["warm"]
+
+
+# --------------------------------------------------------------------------- #
+class TestTaskPool:
+    """The one fan-out primitive, warm (global runtime) and cold (private)."""
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_results_in_submission_order_when_finishing_reversed(self, warm):
+        count = 4
+        with fresh_runtime(enabled=warm):
+            pool = TaskPool(2)
+            try:
+                results = pool.map_ordered(_reverse_finish_task,
+                                           {"step": 0.15, "count": count},
+                                           list(range(count)))
+            finally:
+                pool.close()
+        assert [result["index"] for result in results] == list(range(count))
+        assert all(result["pid"] != os.getpid() for result in results)
+        assert pool.tasks_shipped == count and not pool.fell_back
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    def test_task_oserror_propagates_and_is_not_breakage(self, warm):
+        with fresh_runtime(enabled=warm), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pool = TaskPool(2, name="cell")
+            try:
+                with pytest.raises(OSError, match="disk full"):
+                    pool.map_ordered(_oserror_task, {}, [0, 1, 2])
+            finally:
+                pool.close()
+        assert not pool.fell_back and pool.fallback_reason is None
+
+    def test_dead_worker_falls_back_to_serial_with_one_warning(self):
+        with fresh_runtime() as runtime:
+            pool = TaskPool(2, name="cell")
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    results = pool.map_ordered(
+                        _exit_outside_parent_task, {"parent": os.getpid()},
+                        [1, 2, 3])
+            finally:
+                pool.close()
+            # The broken pool was evicted, not kept for the next lease.
+            assert runtime.stats()["pools"] == 0
+        fallbacks = [w for w in caught if "fell back" in str(w.message)]
+        assert len(fallbacks) == 1
+        assert results == [10, 20, 30]
+        assert pool.fell_back and "Broken" in pool.fallback_reason
+
+    def test_cold_pool_leaves_no_processes_or_segments(self):
+        with fresh_runtime(enabled=False) as shared:
+            pool = TaskPool(2)
+            pids = set(pool.map_ordered(_pid_task, {"payload": b"x" * 64},
+                                        list(range(4))))
+            private = pool.runtime
+            assert private is not shared
+            segment = pool._context_lease.handle[1]
+            pool.close()
+            assert shared.stats()["pools"] == 0
+        assert pids and os.getpid() not in pids
+        for pid in pids:
+            assert _wait_dead(pid), f"worker {pid} still alive after close()"
+        assert private.stats()["pools"] == private.stats()["segments"] == 0
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=segment)
+
+    def test_single_payload_and_single_worker_run_in_process(self):
+        with fresh_runtime() as runtime:
+            for workers, payloads in ((2, [1]), (1, [1, 2])):
+                pool = TaskPool(workers)
+                assert set(pool.map_ordered(_pid_task, {}, payloads)) == \
+                    {os.getpid()}
+                pool.close()
+            assert runtime.stats()["pools"] == 0
 
 
 # --------------------------------------------------------------------------- #

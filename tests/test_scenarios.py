@@ -238,6 +238,19 @@ class TestDeterminism:
             payloads[workers] = (store.path_for(spec) / "report.json").read_bytes()
         assert payloads[0] == payloads[2]
 
+    def test_stored_report_bytes_identical_for_any_search_knobs(self, tmp_path):
+        """The proof behind excluding search_workers/suggest_batch from a
+        declarative cell's hash: such a cell runs no search."""
+        spec = tiny_spec()
+        payloads = {}
+        for knobs in ({}, {"search_workers": 2, "suggest_batch": 4}):
+            store = ResultStore(tmp_path / f"store-{len(knobs)}")
+            ScenarioRunner(store, **knobs).run(
+                tiny_spec(**knobs))
+            payloads[len(knobs)] = (store.path_for(spec)
+                                    / "report.json").read_bytes()
+        assert payloads[0] == payloads[2]
+
     def test_volatile_fields_live_in_meta_not_report(self, tmp_path):
         spec = tiny_spec()
         store = ResultStore(tmp_path / "store")
@@ -320,6 +333,44 @@ class TestScenarioRunner:
                             methods=("erm",))
         assert full.spec_hash() != subset.spec_hash()
 
+    def test_fig3_batched_search_misses_the_sequential_store(self, tmp_path):
+        """Regression: suggest_batch changes which model the BayesFT search
+        produces, so a q=2 panel must not be answered with the stored q=1
+        curves — while q=1 keeps its pre-existing cell hashes."""
+        from repro.experiments.fig3_classification import (
+            _cell_spec, run_classification_comparison,
+        )
+
+        def config(**extra):
+            return ExperimentConfig(epochs=2, train_samples=64,
+                                    test_samples=32, drift_trials=2,
+                                    sigma_grid=(0.0, 1.0), batch_size=32,
+                                    learning_rate=0.1, bo_trials=2,
+                                    monte_carlo_samples=2, extra=extra)
+
+        methods = ("bayesft", "erm")
+        store = ResultStore(tmp_path / "store")
+
+        def panel(**extra):
+            runner = ScenarioRunner(store)
+            run_classification_comparison("a_mlp_mnist", config(**extra),
+                                          methods=methods, seed=0,
+                                          runner=runner)
+            return runner.runs
+
+        sequential = panel()
+        assert [run.cached for run in sequential] == [False, False]
+        assert [run.spec.spec_hash() for run in sequential] == [
+            _cell_spec("a_mlp_mnist", label, "mlp", "mnist", config(), 0,
+                       methods).spec_hash() for label in ("BayesFT", "ERM")]
+        batched = panel(suggest_batch=2)
+        assert [run.cached for run in batched] == [False, False]
+        for seq, bat in zip(sequential, batched):
+            assert seq.spec.spec_hash() != bat.spec.spec_hash()
+        assert [run.cached for run in panel()] == [True, True]
+        assert [run.cached for run in panel(suggest_batch=2,
+                                            search_workers=2)] == [True, True]
+
     def test_scenario_registry_contents(self):
         names = available_scenarios()
         assert "smoke" in names and "fault_matrix" in names
@@ -379,6 +430,42 @@ class TestCLI:
         (store.entry_dir(entry) / "report.json").write_text("{not json")
         assert main(["report", "--out", out]) == 2
         assert "corrupted" in capsys.readouterr().err
+
+
+class TestCliUserErrors:
+    """A user error is one labelled stderr line and a non-zero exit, never
+    a traceback — for every subcommand that takes a path or a name."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["trace", "summarize", "{tmp}/missing.jsonl"], "cannot read trace"),
+        (["trace", "summarize", "{tmp}"], "cannot read trace"),
+        (["trace", "summarize", "{tmp}/garbage.jsonl"], "cannot read trace"),
+        (["run", "no_such_scenario"], "invalid choice"),
+        (["run", "smoke", "--backend", "warp-drive"], "invalid choice"),
+        (["run", "smoke", "--out", "{tmp}/afile"], "not a directory"),
+        (["report", "--out", "{tmp}/missing"], "no result store"),
+        (["compare", "no_such_scenario", "--out", "{tmp}"],
+         "unknown scenario"),
+        (["query", "--out", "{tmp}/missing"], "no result store"),
+        (["migrate-store", "--out", "{tmp}/missing"], "no result store"),
+        (["gc", "--out", "{tmp}/afile"], "not a directory"),
+    ], ids=lambda value: value if isinstance(value, str) else " ".join(
+        value[:2]).replace("{tmp}/", ""))
+    def test_one_labelled_line_and_nonzero_exit(self, tmp_path, capsys,
+                                                argv, expected):
+        (tmp_path / "afile").write_text("not a store")
+        (tmp_path / "garbage.jsonl").write_text("{not json\n")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert code not in (0, None)
+        assert len(lines) == 1 and "error:" in lines[0], captured.err
+        assert expected in lines[0]
+        assert not (tmp_path / "missing").exists()  # nothing was created
 
 
 class TestPolicySpecs:

@@ -440,12 +440,16 @@ class TestFallbackSurfacing:
             def submit(self, *args, **kwargs):
                 raise BrokenExecutor("no forks today")
 
-        monkeypatch.setattr(cells_module, "ProcessPoolExecutor", BrokenPool)
+            def shutdown(self, *args, **kwargs):
+                pass
+
+        from repro.execution import runtime as runtime_module
+        monkeypatch.setattr(runtime_module, "ProcessPoolExecutor", BrokenPool)
         specs = [tiny_spec(), tiny_spec(name="tiny2", seed=4)]
         telemetry = Telemetry()
-        # The warm runtime would lease a real pool and never touch the
-        # patched constructor; this test targets the cold path's breakage
-        # classification, so opt out for its duration.
+        # A warm pool leased by an earlier test would never touch the
+        # patched constructor; cold, the fan-out builds its own private
+        # runtime and pool for this call.
         from repro.execution.runtime import ExecutionRuntime, using_runtime
         with using_runtime(ExecutionRuntime(enabled=False)), using(telemetry):
             with warnings.catch_warnings():
@@ -461,11 +465,10 @@ class TestFallbackSurfacing:
         def broken_run_cells(specs, store_root, scenario, workers,
                              runner_kwargs=None, progress=None):
             results = []
+            context = {"store_root": store_root, "scenario": scenario,
+                       "runner_kwargs": dict(runner_kwargs or {})}
             for payload in [spec.to_dict() for spec in specs]:
-                result = cells_module._execute_cell(payload, store_root,
-                                                    scenario,
-                                                    dict(runner_kwargs or {}))
-                result.pop("telemetry", None)
+                result = cells_module._execute_cell(context, payload)
                 results.append(result)
                 if progress is not None:
                     progress(result)
