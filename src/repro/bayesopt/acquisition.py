@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 from .gp import GaussianProcessRegressor
 
@@ -41,6 +40,8 @@ class ExpectedImprovement(AcquisitionFunction):
 
     def __call__(self, gp: GaussianProcessRegressor, candidates: np.ndarray,
                  best_observed: float) -> np.ndarray:
+        from scipy.stats import norm
+
         mean, std = gp.predict(candidates, return_std=True)
         improvement = mean - best_observed - self.xi
         z = improvement / std

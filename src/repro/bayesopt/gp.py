@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from .kernels import ExponentialKernel, Kernel
 
@@ -56,6 +55,8 @@ class GaussianProcessRegressor:
         K = self.kernel(X, X)
         K[np.diag_indices_from(K)] += self.noise + 1e-10
         # Increase jitter until the Cholesky succeeds (degenerate trial sets).
+        from scipy import linalg
+
         jitter = 0.0
         for attempt in range(6):
             try:
@@ -79,6 +80,8 @@ class GaussianProcessRegressor:
         mean = K_cross @ self._alpha * self._y_std + self._y_mean
         if not return_std:
             return mean
+        from scipy import linalg
+
         v = linalg.cho_solve(self._cho, K_cross.T)
         variance = self.kernel.diag(X_new) - np.einsum("ij,ji->i", K_cross, v)
         variance = np.maximum(variance, 1e-12)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .robustness import RobustnessCurve
 
@@ -73,6 +72,8 @@ def mean_confidence_interval(values, confidence: float = 0.95) -> tuple[float, f
     mean = float(values.mean())
     if values.size == 1:
         return mean, 0.0
+    from scipy import stats
+
     sem = stats.sem(values)
     half_width = float(sem * stats.t.ppf((1 + confidence) / 2.0, values.size - 1))
     return mean, half_width

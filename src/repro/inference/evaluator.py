@@ -17,7 +17,7 @@ mapping.  Two strategies implement it:
   injector's ``apply_trial`` writes arrays verbatim, so the same call
   installs stacked weights), and evaluates the whole group in one tiled
   forward pass through the :func:`repro.nn.functional.trial_batching`
-  context.  The per-sample work (im2col, activations, pooling,
+  context.  The per-sample work (window copies, activations, pooling,
   normalisation statistics) is amortised across the group while the GEMMs
   stay per-trial with unchanged operand shapes — so the per-trial scores
   and losses are **bit-identical** to the per-trial evaluator's, and

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 def _numeric_grad(func, array, index, eps=1e-6):
@@ -220,3 +220,185 @@ class TestPooling:
     def test_adaptive_avg_pool_rejects_other_sizes(self):
         with pytest.raises(NotImplementedError):
             F.adaptive_avg_pool2d(Tensor(np.zeros((1, 1, 4, 4))), 2)
+
+
+# --------------------------------------------------------------------------- #
+# Byte-exact kernels: the strided-window lowering against the einsum oracle
+# --------------------------------------------------------------------------- #
+# The oracle is the earlier implementation: a per-(i, j) im2col copy loop,
+# einsum contractions and a col2im scatter loop.  Stored reports and golden
+# traces were recorded through it, so the kernels must match it byte for
+# byte, not within a tolerance.
+def _oracle_im2col(data, kernel_h, kernel_w, stride, padding):
+    n, c, h, w = data.shape
+    out_h = (h + 2 * padding - kernel_h) // stride + 1
+    out_w = (w + 2 * padding - kernel_w) // stride + 1
+    if padding > 0:
+        data = np.pad(data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    columns = np.empty((n, c, kernel_h, kernel_w, out_h, out_w))
+    for i in range(kernel_h):
+        i_end = i + stride * out_h
+        for j in range(kernel_w):
+            j_end = j + stride * out_w
+            columns[:, :, i, j, :, :] = data[:, :, i:i_end:stride, j:j_end:stride]
+    return columns.reshape(n, c * kernel_h * kernel_w, out_h * out_w), out_h, out_w
+
+
+def _oracle_col2im(columns, input_shape, kernel_h, kernel_w, stride, padding,
+                   out_h, out_w):
+    n, c, h, w = input_shape
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    columns = columns.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
+    for i in range(kernel_h):
+        i_end = i + stride * out_h
+        for j in range(kernel_w):
+            j_end = j + stride * out_w
+            padded[:, :, i:i_end:stride, j:j_end:stride] += columns[:, :, i, j, :, :]
+    if padding > 0:
+        return padded[:, :, padding:-padding, padding:-padding]
+    return padded
+
+
+def _oracle_conv2d(x, weight, bias, stride, padding, grad=None):
+    """Forward output and, given ``grad``, (grad_weight, grad_input)."""
+    n, c, h, w = x.shape
+    out_channels, _, kernel_h, kernel_w = weight.shape
+    columns, out_h, out_w = _oracle_im2col(x, kernel_h, kernel_w, stride, padding)
+    weight_matrix = weight.reshape(out_channels, -1)
+    out = np.einsum("ok,nkp->nop", weight_matrix, columns, optimize=True)
+    out = out.reshape(n, out_channels, out_h, out_w)
+    if bias is not None:
+        out = out + bias.reshape(1, -1, 1, 1)
+    if grad is None:
+        return out
+    grad_matrix = grad.reshape(n, out_channels, out_h * out_w)
+    grad_weight = np.einsum("nop,nkp->ok", grad_matrix, columns, optimize=True)
+    grad_columns = np.einsum("ok,nop->nkp", weight_matrix, grad_matrix, optimize=True)
+    grad_input = _oracle_col2im(grad_columns, x.shape, kernel_h, kernel_w,
+                                stride, padding, out_h, out_w)
+    return out, grad_weight.reshape(weight.shape), grad_input
+
+
+def _oracle_max_pool2d(x, kernel_size, stride, grad):
+    n, c, h, w = x.shape
+    columns, out_h, out_w = _oracle_im2col(x, kernel_size, kernel_size, stride, 0)
+    columns = columns.reshape(n, c, kernel_size * kernel_size, out_h * out_w)
+    argmax = columns.argmax(axis=2)
+    out = np.take_along_axis(columns, argmax[:, :, None, :], axis=2)
+    grad_cols = np.zeros((n, c, kernel_size * kernel_size, out_h * out_w))
+    np.put_along_axis(grad_cols, argmax[:, :, None, :],
+                      grad.reshape(n, c, 1, out_h * out_w), axis=2)
+    grad_cols = grad_cols.reshape(n, c * kernel_size * kernel_size, out_h * out_w)
+    grad_input = _oracle_col2im(grad_cols, x.shape, kernel_size, kernel_size,
+                                stride, 0, out_h, out_w)
+    return out.reshape(n, c, out_h, out_w), grad_input
+
+
+def _signed(rng, shape):
+    """Normal draws with a third of the entries replaced by ±0.0."""
+    values = rng.standard_normal(shape)
+    zeros = rng.random(shape) < 1 / 3
+    values[zeros] = np.copysign(0.0, values[zeros])
+    return values
+
+
+@st.composite
+def conv_cases(draw):
+    kernel = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, 2))
+    padding = draw(st.integers(0, 2))
+    low = max(1, kernel - 2 * padding)
+    return {
+        "n": draw(st.integers(1, 3)), "c": draw(st.integers(1, 4)),
+        "o": draw(st.integers(1, 4)), "kernel": kernel, "stride": stride,
+        "padding": padding, "h": draw(st.integers(low, low + 5)),
+        "w": draw(st.integers(low, low + 5)), "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _same_bytes(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestByteExactKernels:
+    @given(conv_cases(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_conv2d_forward_and_gradients(self, case, with_bias):
+        rng = np.random.default_rng(case["seed"])
+        x = _signed(rng, (case["n"], case["c"], case["h"], case["w"]))
+        weight = _signed(rng, (case["o"], case["c"], case["kernel"], case["kernel"]))
+        bias = rng.standard_normal(case["o"]) if with_bias else None
+        stride, padding = case["stride"], case["padding"]
+        expected = _oracle_conv2d(x, weight, bias, stride, padding)
+        grad = _signed(rng, expected.shape)
+        expected, grad_weight, grad_input = _oracle_conv2d(
+            x, weight, bias, stride, padding, grad)
+
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(weight, requires_grad=True)
+        bt = None if bias is None else Tensor(bias, requires_grad=True)
+        out = F.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        out.backward(grad)
+        assert out.data.flags.c_contiguous
+        _same_bytes(out.data, expected)
+        _same_bytes(wt.grad, grad_weight)
+        _same_bytes(xt.grad, grad_input)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 3), st.integers(1, 9), st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_max_pool2d_ties_signed_zeros_and_nan(self, n, c, kernel, stride, extra, seed):
+        rng = np.random.default_rng(seed)
+        size = kernel + extra
+        pool = np.array([-1.0, -0.0, 0.0, 1.0, 1.0, 2.0, np.nan])
+        x = rng.choice(pool, size=(n, c, size, size))
+        out_shape = (n, c, (size - kernel) // stride + 1, (size - kernel) // stride + 1)
+        grad = _signed(rng, out_shape)
+        expected, grad_input = _oracle_max_pool2d(x, kernel, stride, grad)
+
+        xt = Tensor(x, requires_grad=True)
+        out = F.max_pool2d(xt, kernel, stride)
+        out.backward(grad)
+        assert out.data.flags.c_contiguous
+        _same_bytes(out.data, expected)
+        _same_bytes(xt.grad, grad_input)
+
+    @given(conv_cases(), st.integers(2, 3), st.booleans(),
+           st.sampled_from(["per-trial", "shared", "absent"]))
+    @settings(max_examples=80, deadline=None)
+    def test_trial_conv2d_matches_separate_forwards(self, case, trials, stacked, bias_kind):
+        rng = np.random.default_rng(case["seed"])
+        x = _signed(rng, (case["n"], case["c"], case["h"], case["w"]))
+        weight_shape = (case["o"], case["c"], case["kernel"], case["kernel"])
+        weights = _signed(rng, ((trials,) if stacked else ()) + weight_shape)
+        biases = {"per-trial": rng.standard_normal((trials, case["o"])),
+                  "shared": rng.standard_normal(case["o"]),
+                  "absent": None}[bias_kind]
+        stride, padding = case["stride"], case["padding"]
+        expected = np.concatenate([
+            _oracle_conv2d(x, weights[t] if stacked else weights,
+                           biases[t] if bias_kind == "per-trial" else biases,
+                           stride, padding)
+            for t in range(trials)])
+
+        with no_grad(), F.trial_batching(trials):
+            out = F.conv2d(Tensor(np.concatenate([x] * trials)), Tensor(weights),
+                           None if biases is None else Tensor(biases),
+                           stride=stride, padding=padding)
+        assert out.data.flags.c_contiguous
+        _same_bytes(out.data, expected)
+
+    @given(conv_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_im2col_and_col2im_match_the_loops(self, case):
+        rng = np.random.default_rng(case["seed"])
+        x = _signed(rng, (case["n"], case["c"], case["h"], case["w"]))
+        args = (case["kernel"], case["kernel"], case["stride"], case["padding"])
+        columns, out_h, out_w = F.im2col(x, *args)
+        expected, exp_h, exp_w = _oracle_im2col(x, *args)
+        assert (out_h, out_w) == (exp_h, exp_w)
+        _same_bytes(columns, expected)
+        grad_columns = _signed(rng, columns.shape)
+        _same_bytes(F.col2im(grad_columns, x.shape, *args, out_h, out_w),
+                    _oracle_col2im(grad_columns, x.shape, *args, out_h, out_w))
