@@ -57,7 +57,7 @@ def _run_sweeps(model, test_set) -> str:
     canonical = None
     for _ in range(SWEEPS):
         report = DriftSweepEngine(model, test_set, trials=TRIALS, rng=99,
-                                  backend="shared_memory", workers=WORKERS,
+                                  backend="process", workers=WORKERS,
                                   ).run(SIGMAS, label="bench")
         canonical = report.to_json(canonical=True)
     return canonical
@@ -106,7 +106,7 @@ def test_warm_runtime_beats_cold_pools_on_sequential_sweeps():
 
     speedup = cold_seconds / max(warm_seconds, 1e-9)
     summary = {
-        "backend": "shared_memory",
+        "backend": "process",
         "workers": WORKERS,
         "sweeps_per_arm": SWEEPS,
         "trials_per_sweep": TRIALS,

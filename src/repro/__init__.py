@@ -16,7 +16,7 @@ substrate:
 * :mod:`repro.evaluation` / :mod:`repro.experiments` — robustness sweeps and
   per-figure harnesses;
 * :mod:`repro.execution` — pluggable execution backends (serial, process
-  pool, shared-memory weight shipping) and scenario-cell fan-out;
+  pool) and search-trial and scenario-cell fan-out;
 * :mod:`repro.telemetry` — unified tracing, metrics and progress across all
   of the above (spans, counters, JSONL export, ``trace summarize``);
 * :mod:`repro.scenarios` — declarative experiment cells, the fault-model and

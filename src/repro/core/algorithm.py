@@ -152,11 +152,6 @@ class BayesFTSearch:
         ``k``: worker processes evaluating a batch concurrently.  ``0``/``1``
         evaluates the batch in-process.  Never changes seeded results — the
         canonical trace depends only on ``q``.
-    search_backend:
-        ``None`` derives ``"process"``/``"serial"`` from ``search_workers``;
-        otherwise a name from
-        :data:`~repro.execution.search.SEARCH_BACKENDS`.  Never changes
-        seeded results.
     early_stop_margin:
         If set (async mode only), a trial whose σ=0 clean utility falls more
         than this margin below the best committed objective is terminated
@@ -174,7 +169,6 @@ class BayesFTSearch:
                  acquisition: AcquisitionFunction | None = None,
                  warm_start: bool = True, rng=None,
                  suggest_batch: int = 1, search_workers: int = 0,
-                 search_backend: str | None = None,
                  early_stop_margin: float | None = None):
         if optimizer_kind not in ("bayes", "random"):
             raise ValueError("optimizer_kind must be 'bayes' or 'random'")
@@ -196,7 +190,6 @@ class BayesFTSearch:
         self.rng = get_rng(rng)
         self.suggest_batch = int(suggest_batch)
         self.search_workers = int(search_workers)
-        self.search_backend = search_backend
         self.early_stop_margin = early_stop_margin
         bounds = search_space.bounds
         if optimizer_kind == "bayes":
@@ -320,8 +313,7 @@ class BayesFTSearch:
             "early_stop_margin": self.early_stop_margin,
         }
         pool = SearchTrialPool(_execute_search_trial, context,
-                               workers=self.search_workers,
-                               backend=self.search_backend)
+                               workers=self.search_workers)
         # Worker-side sweeps report their own (serial) worker counts; the
         # search pool's width is the figure that makes worker utilisation
         # in `trace summarize` honest.

@@ -67,10 +67,8 @@ class DriftMarginalizedObjective:
     sweep_backend:
         Execution backend for the inner sweep (``None`` derives it from
         ``sweep_workers``; otherwise a :mod:`repro.execution` registry name
-        such as ``"shared_memory"`` or a backend instance).  Never changes
-        results — the deep-model search uses shared-memory shipping so each
-        BO trial's ``T`` weight copies cross to the workers as offset
-        tables, not pickled arrays.
+        such as ``"process"`` or a backend instance).  Never changes
+        results.
     max_chunk_trials:
         Bound on how many drifted weight copies are materialised at once
         while pre-drawing the ``T`` samples (``None`` = all at once); lets

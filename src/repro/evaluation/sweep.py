@@ -20,9 +20,8 @@ drift and re-runs the full test set once per (σ, trial) pair with zero reuse.
    (:meth:`FaultInjector.multi_trial`), not once per trial, and restored even
    if an evaluation raises mid-sweep.
 4. **Pluggable execution** — evaluation is scheduled through an
-   :class:`~repro.execution.ExecutionBackend` (serial, pickled process
-   pool, or shared-memory weight shipping; any out-of-process failure
-   degrades to serial), plus an inference cache keyed on the drifted weight
+   :class:`~repro.execution.ExecutionBackend` (serial or a process pool;
+   any out-of-process failure degrades to serial), plus an inference cache keyed on the drifted weight
    bytes so bit-identical trials (every σ=0 trial, for instance) are
    evaluated exactly once.  A caller-owned ``shared_cache`` extends the
    cache across engine runs — the BayesFT inner objective reuses it across
@@ -106,7 +105,7 @@ class SweepReport:
     trial_losses: list = field(default_factory=list)  # per-σ list of per-trial losses
     trials: int = 0
     workers: int = 1          # worker processes actually used (1 = serial)
-    backend: str = "serial"   # "serial", "process" or "shared_memory"
+    backend: str = "serial"   # "serial" or "process" (the pool actually used)
     fallback_reason: str = ""  # why a requested parallel run degraded to serial
     n_evaluations: int = 0    # model evaluations actually run (after caching)
     cache_hits: int = 0       # trials answered from the inference cache
@@ -212,9 +211,9 @@ class DriftSweepEngine:
     backend:
         Where trial evaluations run: ``None`` derives the backend from
         ``workers`` (the historical behaviour), or pass an
-        :mod:`repro.execution` registry name (``"serial"``, ``"process"``,
-        ``"shared_memory"``) or an :class:`~repro.execution.ExecutionBackend`
-        instance.  Backends never change results — they receive
+        :mod:`repro.execution` registry name (``"serial"``, ``"process"``;
+        ``"shared_memory"`` is an alias of ``"process"``) or an
+        :class:`~repro.execution.ExecutionBackend` instance.  Backends never change results — they receive
         fully-materialised weights and consume no randomness — so the choice
         trades only shipping cost against parallelism.  Out-of-process
         backend failures degrade the rest of the sweep to serial evaluation

@@ -10,9 +10,9 @@ degrading to in-process execution if the pool breaks.  Its three users
 differ only in their payloads:
 
 * trial backends — :class:`SerialBackend` (in-process, the default and
-  the universal fallback), :class:`ProcessPoolBackend` (pickled trial
-  arrays per task) and :class:`SharedMemoryBackend` (each chunk's weights
-  published once; tasks carry only offset tables);
+  the universal fallback) and :class:`ProcessPoolBackend` (pickled trial
+  arrays per task; also registered as ``shared_memory``, an alias kept
+  for older configurations);
 * :class:`SearchTrialPool` — concurrent BO search trials;
 * :func:`run_cells` — independent scenario cells.
 
@@ -37,9 +37,8 @@ from .runtime import (
 from .pool import TaskPool
 from .serial import SerialBackend
 from .process import ProcessPoolBackend
-from .shared import SharedMemoryBackend
 from .cells import run_cells
-from .search import SearchTrialPool, SEARCH_BACKENDS
+from .search import SearchTrialPool
 
 __all__ = [
     "EvalContext", "ExecutionBackend", "TrialResult",
@@ -47,6 +46,5 @@ __all__ = [
     "validate_backend",
     "ExecutionRuntime", "configure_runtime", "get_runtime",
     "shutdown_runtime", "using_runtime", "TaskPool",
-    "SerialBackend", "ProcessPoolBackend", "SharedMemoryBackend",
-    "run_cells", "SearchTrialPool", "SEARCH_BACKENDS",
+    "SerialBackend", "ProcessPoolBackend", "run_cells", "SearchTrialPool",
 ]

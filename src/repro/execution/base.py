@@ -5,16 +5,16 @@ layer: *given a batch of pre-drawn fault trials, evaluate each one and
 return its metrics* — nothing more.  Everything that determines the
 numbers (drift sampling, chunking, caching, aggregation) stays in
 :class:`~repro.evaluation.sweep.DriftSweepEngine`; the backend only decides
-*where* the evaluations run (in-process, in a pickled-task worker pool, or
-in a worker pool fed through shared memory).  That split is what keeps the
-determinism contract — seeded sweeps are bit-identical for any backend and
-any worker count — trivially true: backends receive fully-materialised
-weight arrays and consume no randomness.
+*where* the evaluations run (in-process or in a worker pool).  That split
+is what keeps the determinism contract — seeded sweeps are bit-identical
+for any backend and any worker count — trivially true: backends receive
+fully-materialised weight arrays and consume no randomness.
 
-Backends are registered by name (``serial``, ``process``,
-``shared_memory``) so scheduling can be chosen from configuration (the
-``python -m repro run --backend`` flag, the engine's ``backend=``
-parameter) without importing concrete classes.
+Backends are registered by name (``serial``, ``process``; ``shared_memory``
+is kept as an alias of ``process`` so older configurations still run) so
+scheduling can be chosen from configuration (the ``python -m repro run
+--backend`` flag, the engine's ``backend=`` parameter) without importing
+concrete classes.
 """
 
 from __future__ import annotations
@@ -107,9 +107,8 @@ class ExecutionBackend:
         with two or more unique trials reports ``("serial", 1)`` because no
         pool was ever engaged.
     ``tasks_shipped`` / ``bytes_shipped``
-        Tasks sent to worker processes and the payload bytes they carried
-        (array bytes for pickled tasks, the pickled offset-table message
-        for shared-memory tasks).  In-process evaluation ships nothing.
+        Tasks sent to worker processes and the trial-array bytes they
+        carried.  In-process evaluation ships nothing.
         Both are read-only views over the backend's
         :class:`~repro.telemetry.MetricsRegistry` — increment sites go
         through ``self.metrics`` so the shipping stats share the one
@@ -153,7 +152,7 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release pools, shared-memory segments, any other resources."""
+        """Release pools and any other resources."""
 
     # ------------------------------------------------------------------ #
     def _evaluator(self):
@@ -217,8 +216,8 @@ def resolve_backend(backend, workers: int = 0) -> ExecutionBackend:
     """Turn a backend selector into a fresh backend instance.
 
     ``backend`` may be ``None`` (choose from ``workers`` exactly like the
-    historical engine: ``workers >= 2`` means the pickled process pool,
-    anything less is serial), a registry name, or an already-constructed
+    historical engine: ``workers >= 2`` means the process pool, anything
+    less is serial), a registry name, or an already-constructed
     :class:`ExecutionBackend` (returned as-is; its own worker count wins).
     Named pool backends default to two workers when ``workers`` does not ask
     for more — naming a pool backend *is* asking for a pool.
@@ -227,11 +226,8 @@ def resolve_backend(backend, workers: int = 0) -> ExecutionBackend:
         return backend
     if backend is None:
         backend = "process" if workers >= 2 else "serial"
-    key = str(backend).lower()
-    if key not in _BACKEND_REGISTRY:
-        raise ValueError(f"unknown execution backend {backend!r}; "
-                         f"available: {available_backends()}")
-    cls = _BACKEND_REGISTRY[key]
+    validate_backend(backend)
+    cls = _BACKEND_REGISTRY[str(backend).lower()]
     if getattr(cls, "out_of_process", False):
         return cls(workers=max(2, int(workers)))
     return cls()

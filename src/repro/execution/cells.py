@@ -18,14 +18,9 @@ fill-in killed at any point resumes from whatever cells finished.
 from __future__ import annotations
 
 from ..telemetry import current
-from .pool import FANOUT_BACKENDS, TaskPool
+from .pool import TaskPool
 
-__all__ = ["run_cells", "CELL_BACKENDS"]
-
-#: Cell fan-out ships declarative specs, not weight arrays, so only the
-#: generic pool applies; asking for ``shared_memory`` here is a category
-#: error the caller should hear about.
-CELL_BACKENDS = FANOUT_BACKENDS
+__all__ = ["run_cells"]
 
 
 def _execute_cell(context: dict, spec_payload: dict) -> dict:

@@ -40,12 +40,7 @@ from typing import Callable
 from ..telemetry import MetricsRegistry, Telemetry, current, using
 from .runtime import ExecutionRuntime, get_runtime, read_payload
 
-__all__ = ["TaskPool", "PoolBroke", "FANOUT_BACKENDS"]
-
-#: Backends a payload fan-out (search trials, scenario cells) accepts: the
-#: payloads are small, so only the generic pool applies — ``shared_memory``
-#: is a trial-backend concept.
-FANOUT_BACKENDS = ("serial", "process")
+__all__ = ["TaskPool", "PoolBroke"]
 
 #: Result-slot sentinel distinguishing "not run yet" from a task that
 #: legitimately returned ``None``.

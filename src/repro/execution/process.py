@@ -1,11 +1,10 @@
-"""Worker-pool execution with pickled trial payloads.
+"""Worker-pool execution: the one pool backend.
 
 The worker context (model, dataset, evaluate_fn, evaluator) is published
 once per sweep through :class:`~repro.execution.pool.TaskPool`; each task
-then pickles one trial group's full drifted parameter arrays — simple and
-dependency-free, but for deep models the per-task pickling dominates (see
-:class:`~repro.execution.shared.SharedMemoryBackend` for the
-shared-memory alternative that ships only an offset table).
+then pickles one trial group's full drifted parameter arrays.  The backend
+is also registered as ``shared_memory``, so configurations that name the
+former shared-memory backend still run.
 """
 
 from __future__ import annotations
@@ -44,19 +43,16 @@ def _install_trial_context(context: tuple) -> dict:
             "evaluator": evaluator or PerTrialEvaluator()}
 
 
-def _evaluate_trials(state: dict, pending: dict) -> list[TrialResult]:
+def _evaluate_group(state: dict, group: list) -> list[TrialResult]:
     # The worker runs the same evaluator instance the main process would
     # use in-process — batching logic has exactly one code path — so the
     # per-trial scores a pool returns are the serial path's, bit for bit.
     return state["evaluator"].run(state["model"], state["data"],
-                                  state["evaluate_fn"], pending,
+                                  state["evaluate_fn"], dict(group),
                                   state["injector"].apply_trial)
 
 
-def _evaluate_group(state: dict, group: list) -> list[TrialResult]:
-    return _evaluate_trials(state, dict(group))
-
-
+@register_backend("shared_memory")
 @register_backend("process")
 class ProcessPoolBackend(ExecutionBackend):
     """Fan trials out over ``workers`` processes, pickled trial groups as tasks.
@@ -67,11 +63,8 @@ class ProcessPoolBackend(ExecutionBackend):
     the default per-trial evaluator a task is exactly one trial; a batched
     evaluator packs ``trial_batch`` trials per task.  Any pool failure
     propagates to the engine, which degrades the rest of the sweep to
-    serial evaluation.
-
-    Subclasses change only the payload encoding: :meth:`_worker_context`
-    (what workers install once per sweep) and :meth:`_ship` (what each
-    chunk's tasks carry).
+    serial evaluation.  Registered as ``process`` and, as an alias,
+    ``shared_memory``; reports always say ``process``.
     """
 
     name = "process"
@@ -87,12 +80,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._context_payload: tuple | None = None
 
     # ------------------------------------------------------------------ #
-    def _worker_context(self, tasks: TaskPool) -> tuple:
-        """The context every worker installs (once per content digest)."""
-        context = self.context
-        return (context.model, context.data, context.evaluate_fn,
-                context.evaluator)
-
     def _group_pending(self, pending: dict[str, dict]) -> list[list]:
         """Group pending trials into worker tasks of ``trial_batch`` trials.
 
@@ -108,23 +95,6 @@ class ProcessPoolBackend(ExecutionBackend):
         return [items[start:start + size]
                 for start in range(0, len(items), size)]
 
-    @staticmethod
-    def _task_bytes(digest: str, params: dict) -> int:
-        """Payload size of one pickled task: digest + names + array bytes."""
-        return (len(digest)
-                + sum(len(name) + arrays.nbytes
-                      for name, arrays in params.items()))
-
-    def _ship(self, tasks: TaskPool, pending: dict[str, dict],
-              groups: list[list]) -> list[list[TrialResult]]:
-        """Run one chunk's groups as pickled-array tasks."""
-        self.metrics.counter("tasks_shipped").add(len(groups))
-        self.metrics.counter("bytes_shipped").add(
-            sum(self._task_bytes(digest, params)
-                for digest, params in pending.items()))
-        return tasks.map_ordered(_evaluate_group, self._context_payload,
-                                 groups, setup=_install_trial_context)
-
     def run_trials(self, pending: dict[str, dict],
                    apply_trial: Callable[[dict], None]) -> list[TrialResult]:
         groups = self._group_pending(pending)
@@ -133,9 +103,21 @@ class ProcessPoolBackend(ExecutionBackend):
         with current().span("backend", backend=self.name,
                             tasks=len(groups)):
             if self._tasks is None:
+                # One context object per sweep: the pool publishes it once.
+                context = self.context
                 self._tasks = TaskPool(self.workers, fallback=False)
-                self._context_payload = self._worker_context(self._tasks)
-            batches = self._ship(self._tasks, pending, groups)
+                self._context_payload = (context.model, context.data,
+                                         context.evaluate_fn,
+                                         context.evaluator)
+            # Payload bytes: each trial's digest, parameter names and arrays.
+            self.metrics.counter("tasks_shipped").add(len(groups))
+            self.metrics.counter("bytes_shipped").add(sum(
+                len(digest) + sum(len(name) + arrays.nbytes
+                                  for name, arrays in params.items())
+                for digest, params in pending.items()))
+            batches = self._tasks.map_ordered(
+                _evaluate_group, self._context_payload, groups,
+                setup=_install_trial_context)
             self.used_backend = self.name
             self.workers_used = self._tasks.workers
         return [result for batch in batches for result in batch]

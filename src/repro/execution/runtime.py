@@ -14,9 +14,9 @@ fan-out in this package reaches them through
 * **Digest-keyed segments.**  Worker context (model weights, evaluation
   data, evaluate_fn, evaluator) is pickled once, content-hashed,
   published into a ``multiprocessing.shared_memory`` segment and *leased
-  by digest*: identical content (the same trained weights across a σ
-  grid, the same dataset across every BO trial) is published once and
-  re-leased, and only changed payloads are re-shipped.
+  by digest*: identical content (the same trained weights and data across
+  a σ grid or back-to-back sweeps) is published once and re-leased, and
+  only changed payloads are re-shipped.
 
 The process-wide runtime (:func:`get_runtime`) is the *warm* one: its
 pools outlive every sweep.  "Cold" execution is not a second code path
@@ -71,7 +71,7 @@ from ..telemetry import MetricsRegistry, current
 __all__ = [
     "ExecutionRuntime", "PoolLease", "SegmentLease",
     "get_runtime", "configure_runtime", "shutdown_runtime", "using_runtime",
-    "attach_segment", "read_payload",
+    "read_payload",
 ]
 
 #: Idle seconds after which an unleased pool or segment is reaped.
@@ -93,8 +93,12 @@ def _pool_method() -> str:
     return multiprocessing.get_start_method(allow_none=False)
 
 
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to a segment another process owns, without adopting it.
+def read_payload(handle: tuple) -> object:
+    """Worker-side: unpickle a published ``(digest, name, nbytes)`` payload.
+
+    Attaches, copies the bytes out and detaches immediately — the caller
+    keeps the unpickled objects, never a view into the segment, so a
+    later reap/unlink in the owning process cannot invalidate anything.
 
     On CPython < 3.13 spawned processes register mere attachments with
     their own resource tracker and would double-unlink the owner's segment
@@ -102,6 +106,7 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
     share the owner's tracker, where the duplicate registration is a set
     no-op and unregistering would make the owner's own unlink fail.
     """
+    digest, name, nbytes = handle
     segment = shared_memory.SharedMemory(name=name)
     if "fork" not in multiprocessing.get_all_start_methods():
         try:
@@ -109,18 +114,6 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
             resource_tracker.unregister(segment._name, "shared_memory")
         except Exception:
             pass  # tracking semantics differ across versions; never fatal
-    return segment
-
-
-def read_payload(handle: tuple) -> object:
-    """Worker-side: unpickle a published ``(digest, name, nbytes)`` payload.
-
-    Attaches, copies the bytes out and detaches immediately — the caller
-    keeps the unpickled objects, never a view into the segment, so a
-    later reap/unlink in the owning process cannot invalidate anything.
-    """
-    digest, name, nbytes = handle
-    segment = attach_segment(name)
     try:
         return pickle.loads(bytes(segment.buf[:nbytes]))
     finally:
@@ -140,7 +133,7 @@ class _PoolEntry:
 @dataclass
 class _SegmentEntry:
     segment: shared_memory.SharedMemory
-    meta: object
+    handle: tuple
     leases: int = 0
     last_used: float = field(default_factory=time.monotonic)
 
@@ -169,11 +162,11 @@ class PoolLease(_Lease):
 
 
 class SegmentLease(_Lease):
-    """A borrowed published segment; ``handle`` is its caller-defined meta."""
+    """A borrowed published payload; ``handle`` is ``(digest, name, nbytes)``."""
 
     @property
-    def handle(self):
-        return self._entry.meta
+    def handle(self) -> tuple:
+        return self._entry.handle
 
 
 # --------------------------------------------------------------------------- #
@@ -295,45 +288,32 @@ class ExecutionRuntime:
         self._reap_idle()
 
     # -- segments ------------------------------------------------------- #
-    def lease_segment(self, key: str, publish) -> SegmentLease | None:
-        """Lease the segment cached under ``key``, publishing on a miss.
+    def lease_payload(self, payload: bytes) -> SegmentLease | None:
+        """Publish (or re-lease) a pickled payload, keyed by its content.
 
-        ``publish()`` must return ``(shared_memory.SharedMemory, meta)``;
-        ``meta`` (the caller's handle — an offset table, a dataset handle,
-        a ``(digest, name, nbytes)`` tuple) is returned verbatim on every
-        subsequent hit, so identical content is shipped exactly once.
+        The returned lease's ``handle`` is ``(digest, segment name,
+        nbytes)`` — exactly what :func:`read_payload` consumes worker-side —
+        so identical content is shipped exactly once.
         """
         if not self.enabled:
             return None
         self._fork_check()
         self._reap_idle()
-        entry = self._segments.get(key)
+        digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
+        entry = self._segments.get(digest)
         if entry is None:
-            segment, meta = publish()
-            entry = _SegmentEntry(segment=segment, meta=meta)
-            self._segments[key] = entry
+            segment = shared_memory.SharedMemory(
+                create=True, size=max(len(payload), 1))
+            segment.buf[:len(payload)] = payload
+            entry = _SegmentEntry(segment=segment, handle=(
+                digest, segment.name, len(payload)))
+            self._segments[digest] = entry
             self._count("segments_published")
         else:
             self._count("segment_reuses")
         entry.leases += 1
         entry.last_used = time.monotonic()
-        return SegmentLease(self._release_segment, key, entry)
-
-    def lease_payload(self, payload: bytes) -> SegmentLease | None:
-        """Publish (or re-lease) a pickled payload, keyed by its content.
-
-        The returned lease's ``handle`` is ``(digest, segment name,
-        nbytes)`` — exactly what :func:`read_payload` consumes worker-side.
-        """
-        digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-        def publish():
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(len(payload), 1))
-            segment.buf[:len(payload)] = payload
-            return segment, (digest, segment.name, len(payload))
-
-        return self.lease_segment("payload:" + digest, publish)
+        return SegmentLease(self._release_segment, digest, entry)
 
     def _drop_segment(self, key: str, entry: _SegmentEntry) -> None:
         if self._segments.get(key) is entry:

@@ -17,37 +17,25 @@ from __future__ import annotations
 from typing import Callable
 
 from ..telemetry import current
-from .pool import FANOUT_BACKENDS, TaskPool
+from .pool import TaskPool
 
-__all__ = ["SearchTrialPool", "SEARCH_BACKENDS"]
-
-#: Search fan-out ships one pickled base state per trial plus a tiny payload;
-#: ``shared_memory`` still governs each trial's *inner* sweep.
-SEARCH_BACKENDS = FANOUT_BACKENDS
+__all__ = ["SearchTrialPool"]
 
 
 class SearchTrialPool(TaskPool):
     """A task pool running ``task_fn(context, payload)`` per search trial.
 
-    ``workers`` ``0``/``1`` executes in-process; ``backend=None`` derives
-    ``"process"``/``"serial"`` from ``workers``.  ``used_backend``,
-    ``tasks_shipped``, ``fell_back`` and ``fallback_reason`` are volatile
-    scheduling accounting, never part of canonical results.
+    ``workers`` ``0``/``1`` executes in-process, ``>= 2`` over a process
+    pool.  ``used_backend`` (``"serial"``/``"process"``), ``tasks_shipped``,
+    ``fell_back`` and ``fallback_reason`` are volatile scheduling
+    accounting, never part of canonical results.
     """
 
-    def __init__(self, task_fn: Callable, context: dict, workers: int = 0,
-                 backend: str | None = None):
+    def __init__(self, task_fn: Callable, context: dict, workers: int = 0):
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        if backend is None:
-            backend = "process" if workers >= 2 else "serial"
-        if backend not in SEARCH_BACKENDS:
-            raise ValueError(f"unknown search backend {backend!r}; "
-                             f"expected one of {SEARCH_BACKENDS}")
-        if workers < 2:
-            backend = "serial"
         super().__init__(workers, name="search")
-        self.used_backend = backend
+        self.used_backend = "process" if workers >= 2 else "serial"
         self._task_fn = task_fn
         self._context = context
 

@@ -212,7 +212,7 @@ def deploy_on_reram(model: Module, config: DeviceConfig | None = None,
     :mod:`repro.execution` layer — ``backend`` accepts the same selector as
     :class:`~repro.evaluation.sweep.DriftSweepEngine` (``None``/name/
     instance), so candidates for a deep model can be fanned out over a
-    shared-memory worker pool — and the best-scoring candidate is the one
+    worker pool — and the best-scoring candidate is the one
     programmed.  ``evaluate_fn`` defaults to classification accuracy, and
     ``trial_batch`` scores that many candidates per stacked forward pass
     (bit-identically; see :mod:`repro.inference`).  Candidate draws are

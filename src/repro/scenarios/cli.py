@@ -139,11 +139,10 @@ def _cmd_run(args) -> int:
     # --full runs the harness at its own full-scale default.  Grid cells
     # embed their training config in the spec and ignore this.
     config = ExperimentConfig() if args.full else None
-    cell_backend = "process" if (args.cell_workers or 0) >= 2 else None
 
     def _run():
         return runner.run_scenario(args.scenario, config=config,
-                                   seed=args.seed, cell_backend=cell_backend,
+                                   seed=args.seed,
                                    cell_workers=args.cell_workers)
 
     if args.trace:
@@ -364,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bound pre-drawn weight copies per parameter")
     p_run.add_argument("--backend", choices=available_backends(), default=None,
                        help="trial execution backend (never changes results); "
-                            "shared_memory ships weights via shared memory "
-                            "instead of pickling")
+                            "shared_memory is an alias of process")
     p_run.add_argument("--trial-batch", type=int, default=None,
                        dest="trial_batch",
                        help="trials evaluated per stacked forward pass "

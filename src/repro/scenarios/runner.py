@@ -24,7 +24,6 @@ Two entry paths share the sweep/store logic:
 from __future__ import annotations
 
 import functools
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,7 +34,7 @@ from ..data.loader import train_test_split
 from ..data.registry import build_dataset, dataset_info
 from ..evaluation.detection_metrics import mean_average_precision
 from ..evaluation.sweep import DriftSweepEngine, SweepReport
-from ..execution.cells import CELL_BACKENDS, run_cells
+from ..execution.cells import run_cells
 from ..fault.policy import build_policy
 from ..models.registry import build_model
 from ..telemetry import ProgressReporter, current, span_breakdown
@@ -96,10 +95,10 @@ class ScenarioRunner:
     workers, max_chunk_trials, backend, trial_batch:
         Scheduling overrides applied to every cell (``None`` defers to the
         spec); ``backend`` names a :mod:`repro.execution` trial backend
-        (``serial``/``process``/``shared_memory``), ``trial_batch`` how
-        many trials each stacked forward pass evaluates.  They never change
-        results — the engine's determinism contract — and never enter the
-        spec hash.
+        (``serial``/``process``; ``shared_memory`` aliases ``process``),
+        ``trial_batch`` how many trials each stacked forward pass
+        evaluates.  They never change results — the engine's determinism
+        contract — and never enter the spec hash.
     search_workers, suggest_batch:
         Async BO-search scheduling for figure scenarios whose harness runs a
         BayesFT search (fig3): ``suggest_batch`` architectures proposed per
@@ -228,27 +227,22 @@ class ScenarioRunner:
                             telemetry_summary=summary)
 
     def run_specs(self, specs: Sequence[ScenarioSpec],
-                  scenario: str | None = None, backend: str | None = None,
+                  scenario: str | None = None,
                   cell_workers: int | None = None) -> list[ScenarioRun]:
         """Execute a batch of declarative cells, optionally fanned out.
 
-        ``backend=None``/``"serial"`` executes the cells one after another
-        (the historical behaviour).  ``backend="process"`` ships the cells
-        still missing from the store — whole (train → sweep → persist)
-        units, each seeded by its own ``spec.seed`` — to ``cell_workers``
-        worker processes via :func:`repro.execution.run_cells`; every
+        ``cell_workers`` below 2 executes the cells one after another (the
+        historical behaviour).  ``cell_workers >= 2`` ships the cells still
+        missing from the store — whole (train → sweep → persist) units,
+        each seeded by its own ``spec.seed`` — to ``cell_workers`` worker
+        processes via :func:`repro.execution.run_cells`; every
         finished cell lands in the store as it completes, so a matrix
         fill-in killed mid-run resumes from exactly the cells that
         finished.  Results (and ``self.runs`` bookkeeping) come back in
         ``specs`` order and are bit-identical to a serial run.
         """
-        if backend is None or backend == "serial" or len(specs) < 2:
+        if (cell_workers or 0) < 2 or len(specs) < 2:
             return [self.run(spec, scenario=scenario) for spec in specs]
-        if backend not in CELL_BACKENDS:
-            raise ValueError(
-                f"cell fan-out supports backends {list(CELL_BACKENDS)}; "
-                f"{backend!r} is a trial-level backend (weight shipping "
-                "does not apply to whole declarative cells)")
         for spec in specs:
             if spec.context:
                 raise ValueError(
@@ -260,7 +254,6 @@ class ScenarioRunner:
         # costs O(matrix) hashing, not O(matrix) filesystem stats.
         missing = (list(specs) if self.store is None
                    else self.store.missing(specs))
-        workers = cell_workers or min(len(missing), os.cpu_count() or 1) or 1
         executed: dict[str, dict] = {}
         if missing:
             store_root = None if self.store is None else str(self.store.root)
@@ -277,7 +270,7 @@ class ScenarioRunner:
             if self.reporter is not None:
                 on_cell = lambda payload: self.reporter.advance()  # noqa: E731
             payloads, cell_fallback = run_cells(
-                missing, store_root, scenario, workers=workers,
+                missing, store_root, scenario, workers=cell_workers,
                 runner_kwargs=runner_kwargs, progress=on_cell)
             if cell_fallback:
                 self.degraded.append({"cell": scenario or "(batch)",
@@ -301,8 +294,8 @@ class ScenarioRunner:
             self._log(f"  [{spec.spec_hash()[:12]}] {spec.name}: "
                       f"ran in {run.elapsed_seconds:.2f}s (cell worker)")
             runs.append(run)
-        self._log(f"  fan-out: {len(missing)} cells over {workers} workers "
-                  f"in {time.perf_counter() - start:.2f}s")
+        self._log(f"  fan-out: {len(missing)} cells over {cell_workers} "
+                  f"workers in {time.perf_counter() - start:.2f}s")
         return runs
 
     def _execute(self, spec: ScenarioSpec) -> SweepReport:
@@ -404,12 +397,11 @@ class ScenarioRunner:
 
     # ------------------------------------------------------------------ #
     def run_scenario(self, scenario, config=None, seed: int | None = None,
-                     cell_backend: str | None = None,
                      cell_workers: int | None = None) -> list[ScenarioRun]:
         """Run a named or :class:`~repro.scenarios.library.Scenario` object.
 
         Grid scenarios execute their spec list — fanned out over worker
-        processes when ``cell_backend="process"`` (see :meth:`run_specs`);
+        processes when ``cell_workers >= 2`` (see :meth:`run_specs`);
         figure scenarios invoke their harness with this runner threaded
         through, so every sweep the harness performs lands in (or is
         answered by) the store.  Returns the runs this call produced,
@@ -423,9 +415,9 @@ class ScenarioRunner:
         self._log(f"scenario {scenario.name}: {scenario.description}")
         if scenario.figure is None:
             self.run_specs(scenario.cells(seed=seed), scenario=scenario.name,
-                           backend=cell_backend, cell_workers=cell_workers)
+                           cell_workers=cell_workers)
         else:
-            if cell_backend not in (None, "serial"):
+            if (cell_workers or 0) >= 2:
                 raise ValueError(
                     f"figure scenario {scenario.name!r} cannot fan out cells: "
                     "its harness threads one RNG through all variants")

@@ -126,7 +126,6 @@ class TestOrderedObservationReplay:
         variants = [
             dict(suggest_batch=2, search_workers=2),
             dict(suggest_batch=2, search_workers=3),
-            dict(suggest_batch=2, search_workers=2, search_backend="serial"),
             dict(suggest_batch=3, search_workers=2),
         ]
         for kwargs in variants:
@@ -410,11 +409,6 @@ class TestSearchTrialPool:
         with pytest.raises(RuntimeError, match="trial exploded"):
             pool.run_batch([{"index": 0}, {"index": 1}])
         pool.close()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown search backend"):
-            SearchTrialPool(_square_task, {}, workers=2,
-                            backend="shared_memory")
 
 
 # --------------------------------------------------------------------------- #

@@ -1,12 +1,12 @@
 """Tests for the pluggable execution layer (`repro.execution`).
 
 The load-bearing guarantee is backend equivalence: a seeded sweep produces a
-byte-identical canonical report whether trials are evaluated in-process,
-in a pickled-task worker pool, or through shared-memory weight shipping —
-for any worker count and any chunk size, σ=0 cache fast path included.
-On top of that: registry resolution rules, shipping accounting, segment
-hygiene, the serial-fallback contract, and the execution-layer users
-(`deploy_on_reram` program-and-verify, cell fan-out in `run_specs`).
+byte-identical canonical report whether trials are evaluated in-process or
+in a worker pool — for any worker count and any chunk size, σ=0 cache fast
+path included.  On top of that: registry resolution rules (``shared_memory``
+is an alias of ``process``), shipping accounting, the serial-fallback
+contract, and the execution-layer users (`deploy_on_reram`
+program-and-verify, the BO objective).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import pytest
 from repro.data import SyntheticMNIST, train_test_split
 from repro.evaluation import DriftSweepEngine
 from repro.execution import (
-    EvalContext, ExecutionBackend, ProcessPoolBackend, SerialBackend,
-    SharedMemoryBackend, available_backends, resolve_backend,
+    ExecutionBackend, ProcessPoolBackend, SerialBackend, available_backends,
+    resolve_backend, validate_backend,
 )
 from repro.models import build_mlp
 from repro.training import train_classifier
@@ -44,9 +44,15 @@ class TestRegistry:
 
     def test_resolve_by_name_and_instance(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("shared_memory"), SharedMemoryBackend)
+        assert isinstance(resolve_backend("process"), ProcessPoolBackend)
         backend = SerialBackend()
         assert resolve_backend(backend) is backend
+
+    def test_shared_memory_is_an_alias_of_process(self):
+        validate_backend("shared_memory")
+        backend = resolve_backend("shared_memory", workers=3)
+        assert type(backend) is ProcessPoolBackend
+        assert backend.name == "process" and backend.workers == 3
 
     def test_named_pool_backend_defaults_to_two_workers(self):
         assert resolve_backend("process", workers=0).workers == 2
@@ -82,18 +88,16 @@ class TestBackendEquivalence:
         dict(workers=2),                       # historical selector
         dict(backend="process", workers=2),
         dict(backend="process", workers=3),
-        dict(backend="shared_memory", workers=2),
-        dict(backend="shared_memory", workers=3),
+        dict(backend="shared_memory", workers=2),  # registry alias
+        dict(backend="process", workers=2, max_chunk_trials=1),
         dict(backend="process", workers=2, max_chunk_trials=2),
-        dict(backend="shared_memory", workers=2, max_chunk_trials=1),
-        dict(backend="shared_memory", workers=2, max_chunk_trials=2),
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_byte_identical_canonical_reports(self, trained, kwargs):
         assert self._canonical(trained, **kwargs) == self._canonical(trained)
 
     def test_sigma_zero_fast_path_survives_every_backend(self, trained):
         model, test_set = trained
-        for backend in ("serial", "process", "shared_memory"):
+        for backend in ("serial", "process"):
             report = DriftSweepEngine(model, test_set, trials=4, rng=5,
                                       workers=2, backend=backend).run((0.0, 0.9))
             assert report.cache_hits >= 3          # σ=0 collapses to one eval
@@ -103,13 +107,13 @@ class TestBackendEquivalence:
     def test_backend_instance_can_be_passed_and_reused(self, trained):
         """One backend instance serves several sweeps (reopened each run)."""
         model, test_set = trained
-        backend = SharedMemoryBackend(workers=2)
+        backend = ProcessPoolBackend(workers=2)
         first = DriftSweepEngine(model, test_set, trials=2, rng=7,
                                  backend=backend).run((0.0, 0.8))
         second = DriftSweepEngine(model, test_set, trials=2, rng=7,
                                   backend=backend).run((0.0, 0.8))
         assert first.to_json(canonical=True) == second.to_json(canonical=True)
-        assert second.backend == "shared_memory"
+        assert second.backend == "process"
 
 
 class TestShippingAccounting:
@@ -119,49 +123,13 @@ class TestShippingAccounting:
         assert report.backend == "serial"
         assert report.tasks_shipped == 0 and report.bytes_shipped == 0
 
-    def test_shared_memory_ships_a_fraction_of_pickled_pool(self, trained):
-        model, test_set = trained
-
-        def run(backend):
-            return DriftSweepEngine(model, test_set, trials=3, rng=1,
-                                    workers=2, backend=backend).run((0.8, 1.2))
-
-        pickled, shared = run("process"), run("shared_memory")
-        assert pickled.backend == "process" and shared.backend == "shared_memory"
-        assert pickled.tasks_shipped == shared.tasks_shipped > 0
-        # The whole point: offset tables instead of weight arrays.
-        assert shared.bytes_shipped * 10 <= pickled.bytes_shipped
-
     def test_volatile_fields_exclude_shipping_from_canonical(self, trained):
         model, test_set = trained
         report = DriftSweepEngine(model, test_set, trials=2, rng=1,
-                                  workers=2, backend="shared_memory").run((0.7,))
+                                  workers=2, backend="process").run((0.7,))
         canonical = report.canonical_dict()
         for field in ("tasks_shipped", "bytes_shipped", "backend", "workers"):
             assert field not in canonical
-
-
-class TestSegmentHygiene:
-    def test_no_segments_left_after_sweep(self, trained):
-        model, test_set = trained
-        backend = SharedMemoryBackend(workers=2)
-        DriftSweepEngine(model, test_set, trials=3, rng=3,
-                         backend=backend).run((0.5, 1.0))
-        assert backend._segments == []
-
-    def test_close_releases_stray_segments(self, trained):
-        model, test_set = trained
-        backend = SharedMemoryBackend(workers=2)
-        backend.open(EvalContext(model=model, data=test_set,
-                                 evaluate_fn=lambda m, d: 0.0))
-        segment, _ = backend._publish({"a": {"w": np.ones((2, 2))},
-                                       "b": {"w": np.zeros((2, 2))}})
-        name = segment.name
-        backend.close()
-        assert backend._segments == []
-        from multiprocessing import shared_memory
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
 
 
 class _ExplodingPoolBackend(ExecutionBackend):
@@ -254,7 +222,7 @@ class TestDeployProgramAndVerify:
         from repro.reram import deploy_on_reram
 
         results = []
-        for backend in ("serial", "shared_memory"):
+        for backend in ("serial", "process"):
             model = self._model()
             report = deploy_on_reram(model, rng=9, trials=3,
                                      validate_data=self._data(),

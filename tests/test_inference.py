@@ -8,8 +8,7 @@ remainder batches included, and for conv + BatchNorm models whose batched
 forward exercises the stacked GEMM paths.  On top of that: the evaluator
 contract (fallbacks, protocol detection, error paths), the batched-capable
 metrics, the `trial_batch` knob on the BayesFT objective and the ReRAM
-program-and-verify deployment, spec-hash invariance, and the shared-memory
-dataset publication that rides along in the backends.
+program-and-verify deployment, and spec-hash invariance.
 """
 
 from __future__ import annotations
@@ -336,8 +335,8 @@ class TestSweepEquivalence:
         dict(trial_batch=3, max_chunk_trials=2),
         dict(trial_batch=2, workers=2),
         dict(trial_batch=3, workers=2, backend="process"),
-        dict(trial_batch=3, workers=2, backend="shared_memory"),
-        dict(trial_batch=5, workers=3, backend="shared_memory",
+        dict(trial_batch=3, workers=2, backend="shared_memory"),  # alias
+        dict(trial_batch=5, workers=3, backend="process",
              max_chunk_trials=3),
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_byte_identical_canonical_reports(self, trained, kwargs):
@@ -472,90 +471,3 @@ class TestSpecTrialBatch:
         runner = ScenarioRunner(None, trial_batch=5)
         assert runner._engine_kwargs(spec)["trial_batch"] == 5
         assert ScenarioRunner(None)._engine_kwargs(spec)["trial_batch"] == 2
-
-
-# --------------------------------------------------------------------------- #
-class TestDatasetPublication:
-    def test_dataset_segment_created_and_released(self, trained):
-        from repro.execution import SharedMemoryBackend
-
-        model, test_set = trained
-        backend = SharedMemoryBackend(workers=2)
-        DriftSweepEngine(model, test_set, trials=3, rng=3,
-                         backend=backend).run((0.5, 1.0))
-        # The engine closes the backend after the sweep: the pinned dataset
-        # lease must be gone along with the per-chunk trial segments.
-        assert backend._segments == []
-        assert backend._data_lease is None
-
-    def test_dataset_handle_counts_toward_bytes_shipped(self, trained):
-        """Publication replaces a pickled dataset copy in the context."""
-        import pickle
-
-        model, test_set = trained
-        report = DriftSweepEngine(model, test_set, trials=3, rng=1,
-                                  workers=2,
-                                  backend="shared_memory").run((0.8, 1.2))
-        assert report.backend == "shared_memory"
-        # The handle is tiny but non-zero — and orders of magnitude smaller
-        # than the dataset it replaces in the published worker context.
-        assert report.bytes_shipped > 0
-        assert len(pickle.dumps(test_set)) > 10_000
-
-    def test_non_dataset_data_still_ships_pickled(self, trained):
-        """Evaluation data without the Dataset shape falls back to pickling."""
-        from repro.execution import EvalContext, SharedMemoryBackend
-
-        model, test_set = trained
-        samples = [(test_set.inputs[:8], test_set.labels[:8])]
-
-        backend = SharedMemoryBackend(workers=2)
-        engine = DriftSweepEngine(model, samples, trials=3, rng=9,
-                                  backend=backend,
-                                  evaluate_fn=_accuracy_on_samples)
-        serial = DriftSweepEngine(model, samples, trials=3, rng=9,
-                                  evaluate_fn=_accuracy_on_samples)
-        assert (engine.run((0.8,)).to_json(canonical=True)
-                == serial.run((0.8,)).to_json(canonical=True))
-        assert backend._data_lease is None  # nothing was published
-
-    def test_worker_views_match_the_published_dataset(self, trained):
-        from repro.execution.shared import (_attach_dataset,
-                                            SharedMemoryBackend)
-        from repro.execution import EvalContext
-
-        model, test_set = trained
-        backend = SharedMemoryBackend(workers=2)
-        backend.open(EvalContext(model=model, data=test_set,
-                                 evaluate_fn=ClassificationAccuracy()))
-        segment, handle = backend._publish_dataset(test_set)
-        try:
-            rebuilt = _attach_dataset(handle)
-            np.testing.assert_array_equal(rebuilt.inputs, test_set.inputs)
-            np.testing.assert_array_equal(rebuilt.labels, test_set.labels)
-            assert rebuilt.num_classes == test_set.num_classes
-            # Zero-copy: the rebuilt arrays alias the attached segment.
-            assert rebuilt.inputs.base is not None
-        finally:
-            from repro.execution.shared import _ATTACHED, _PINNED
-
-            _PINNED.discard(handle.segment)
-            attached = _ATTACHED.pop(handle.segment, None)
-            if attached is not None:
-                attached.close()
-            segment.close()
-            segment.unlink()
-            backend.close()
-
-
-def _accuracy_on_samples(model, samples) -> float:
-    """Module-level (picklable) metric over a plain list of batches."""
-    from repro.nn.tensor import Tensor, no_grad
-
-    correct = total = 0
-    for inputs, labels in samples:
-        with no_grad():
-            logits = model(Tensor(inputs))
-        correct += int((logits.data.argmax(axis=1) == labels).sum())
-        total += len(labels)
-    return correct / max(total, 1)

@@ -298,12 +298,11 @@ class TestWarmColdIdentity:
 
     @pytest.mark.parametrize("kwargs", [
         dict(backend="process", workers=2),
-        dict(backend="process", workers=2, max_chunk_trials=2),
-        dict(backend="shared_memory", workers=2),
         # max_chunk_trials=1 would leave every chunk on the single-task
         # in-process fast path (no pool, warm or cold) — chunk at 2 so the
         # pool engages while the chunked schedule is still exercised.
-        dict(backend="shared_memory", workers=2, max_chunk_trials=2),
+        dict(backend="process", workers=2, max_chunk_trials=2),
+        dict(backend="shared_memory", workers=2),  # registry alias
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_sweep_reports_byte_identical(self, trained, kwargs):
         with fresh_runtime(enabled=False):
@@ -371,7 +370,6 @@ class TestWarmColdIdentity:
             with fresh_runtime(enabled=(mode == "warm")):
                 store = ResultStore(tmp_path / mode)
                 ScenarioRunner(store).run_specs(specs(), scenario="s",
-                                                backend="process",
                                                 cell_workers=2)
                 blobs[mode] = {
                     (spec.name, name): (store.path_for(spec) / name).read_bytes()

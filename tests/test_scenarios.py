@@ -559,7 +559,7 @@ class TestDetectionCells:
 
 
 class TestCellFanOut:
-    """run_specs(backend="process"): matrix cells over worker processes."""
+    """run_specs(cell_workers=2): matrix cells over worker processes."""
 
     def _specs(self):
         return [tiny_spec(name=f"cell-{i}", seed=i) for i in range(3)]
@@ -569,8 +569,7 @@ class TestCellFanOut:
         serial_store = ResultStore(tmp_path / "serial")
         ScenarioRunner(serial_store).run_specs(specs)
         fanned_store = ResultStore(tmp_path / "fanned")
-        runs = ScenarioRunner(fanned_store).run_specs(
-            specs, backend="process", cell_workers=2)
+        runs = ScenarioRunner(fanned_store).run_specs(specs, cell_workers=2)
         assert [run.spec.name for run in runs] == [s.name for s in specs]
         for spec in specs:
             a = (serial_store.path_for(spec) / "report.json").read_bytes()
@@ -583,27 +582,22 @@ class TestCellFanOut:
         # A "killed" matrix run that only finished the first cell.
         ScenarioRunner(store).run_specs(specs[:1])
         runner = ScenarioRunner(store)
-        runs = runner.run_specs(specs, backend="process", cell_workers=2)
+        runs = runner.run_specs(specs, cell_workers=2)
         assert [run.cached for run in runs] == [True, False, False]
         # Everything is now stored; a further run recomputes nothing.
-        again = ScenarioRunner(store).run_specs(specs, backend="process",
-                                                cell_workers=2)
+        again = ScenarioRunner(store).run_specs(specs, cell_workers=2)
         assert [run.cached for run in again] == [True, True, True]
-
-    def test_trial_backends_rejected_for_cells(self):
-        with pytest.raises(ValueError, match="trial-level backend"):
-            ScenarioRunner().run_specs(self._specs(), backend="shared_memory")
 
     def test_figure_context_cells_cannot_fan_out(self):
         specs = [tiny_spec(name=f"ctx-{i}", context={"figure": "fig9"})
                  for i in range(2)]
         with pytest.raises(ValueError, match="figure-harness context"):
-            ScenarioRunner().run_specs(specs, backend="process")
+            ScenarioRunner().run_specs(specs, cell_workers=2)
 
     def test_figure_scenarios_cannot_fan_out(self, tmp_path):
         runner = ScenarioRunner(ResultStore(tmp_path / "results"))
         with pytest.raises(ValueError, match="cannot fan out"):
-            runner.run_scenario("fig2_dropout", cell_backend="process")
+            runner.run_scenario("fig2_dropout", cell_workers=2)
 
 
 class TestStoreGC:
@@ -701,6 +695,27 @@ class TestSchedulingKnobInvariance:
         b = (ResultStore(shm).entry_dir(entry) / "report.json").read_bytes()
         assert a == b
 
+    def test_cli_shared_memory_alias_stores_process_bytes(self, tmp_path,
+                                                          capsys):
+        """``--backend shared_memory`` is an alias: it runs the process
+        pool, so its stored reports equal ``--backend process`` byte for
+        byte and its volatile run record names the pool actually used."""
+        stores = {}
+        for backend in ("process", "shared_memory"):
+            stores[backend] = ResultStore(tmp_path / backend)
+            assert main(["run", "smoke", "--out", str(stores[backend].root),
+                         "--workers", "2", "--backend", backend,
+                         "--json"]) == 0
+        capsys.readouterr()
+        hashes = sorted(stores["process"].hashes())
+        assert hashes == sorted(stores["shared_memory"].hashes())
+        for entry in hashes:
+            pooled, alias = (store.entry_dir(entry) for store in stores.values())
+            assert ((pooled / "report.json").read_bytes()
+                    == (alias / "report.json").read_bytes())
+            meta = json.loads((alias / "meta.json").read_text())
+            assert meta["volatile"]["backend"] == "process"
+
 
 class TestCellFanOutOverrides:
     def test_runner_overrides_reach_worker_cells(self, tmp_path):
@@ -713,7 +728,7 @@ class TestCellFanOutOverrides:
         store = ResultStore(tmp_path / "results")
         specs = [tiny_spec(name=f"ov-{i}", seed=i) for i in range(2)]
         runner = ScenarioRunner(store, max_chunk_trials=1)
-        runner.run_specs(specs, backend="process", cell_workers=2)
+        runner.run_specs(specs, cell_workers=2)
         for spec in specs:
             meta = json.loads(
                 (store.path_for(spec) / "meta.json").read_text())
@@ -735,5 +750,4 @@ class TestCellFanOutOverrides:
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="metric='map'"):
-                runner.run_specs([bad, good], backend="process",
-                                 cell_workers=2)
+                runner.run_specs([bad, good], cell_workers=2)

@@ -478,7 +478,7 @@ class TestFallbackSurfacing:
         monkeypatch.setattr(runner_module, "run_cells", broken_run_cells)
         runner = ScenarioRunner(ResultStore(tmp_path))
         runner.run_specs([tiny_spec(), tiny_spec(name="tiny2", seed=4)],
-                         scenario="s", backend="process", cell_workers=2)
+                         scenario="s", cell_workers=2)
         assert any(event["layer"] == "cell_fanout"
                    for event in runner.degraded)
 
